@@ -32,7 +32,6 @@ from .qsrep import (
     QsParams,
     gv_materialize,
     gv_to_qs,
-    qs_from_dense,
     qs_materialize,
 )
 from .sensitivity import (
@@ -85,30 +84,7 @@ def cmd_cond(args) -> int:
     weights = WeightSpec()
     if args.weights != "natural":
         weights = io.weights_from_text(open(args.weights).read())
-
-    if weights.natural:
-        report = cond_report(source, rhs)
-        values = report.to_json_dict()
-    else:
-        # Explicit weights: compute the structured values individually.
-        if isinstance(source, GvTangentParams):
-            gv, qs = source, gv_to_qs(source)
-        elif isinstance(source, QsParams):
-            gv, qs = None, source
-        else:
-            gv, qs = None, qs_from_dense(np.asarray(source, dtype=float))
-        A = qs_materialize(qs)
-        B = rhs.materialize() if isinstance(rhs, SparseRhs) else np.asarray(rhs, dtype=float)
-        X = np.linalg.solve(A, B)
-        values = {"n": qs.n, "m": B.shape[1]}
-        values["k_qs"] = cond_qs(qs, rhs, X, weights)
-        if gv is not None:
-            values["k_gv"] = cond_gv(gv, rhs, X, weights)
-        values["k_eff"] = cond_eff(qs, rhs, X)
-        if isinstance(rhs, SparseRhs):
-            f = weights.f if weights.f is not None else None
-            values["k_unstructured_sparse"] = cond_unstructuredA_sparseB(A, X, rhs, f=f)
-        values["k_unstructured"] = cond_unstructured(A, B, X, F=weights.F)
+    values = cond_report(source, rhs, weights=weights).to_json_dict()
 
     wanted = args.which
     if wanted != "all":

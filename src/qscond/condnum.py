@@ -23,7 +23,6 @@ from .qsrep import (
     gv_to_qs,
     qs_from_dense,
     qs_materialize,
-    split_lower_diag_upper,
 )
 
 
@@ -62,12 +61,10 @@ class SparseRhs:
         B = np.asarray(B, dtype=float)
         n, m = B.shape
         terms = []
-        for i in range(n):
-            for j in range(m):
-                if B[i, j] != 0.0:
-                    S = np.zeros((n, m))
-                    S[i, j] = 1.0
-                    terms.append((S, B[i, j]))
+        for i, j in zip(*np.nonzero(B)):
+            S = np.zeros((n, m))
+            S[i, j] = 1.0
+            terms.append((S, B[i, j]))
         return cls(n=n, m=m, terms=terms)
 
 
@@ -133,14 +130,9 @@ class CondReport:
             "k_qs": self.k_qs,
             "ratio": self.ratio,
         }
-        if self.k_unstructured_sparse is not None:
-            out["k_unstructured_sparse"] = self.k_unstructured_sparse
-        if self.k_gv is not None:
-            out["k_gv"] = self.k_gv
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.rho is not None:
-            out["rho"] = self.rho
+        for key in ("k_unstructured_sparse", "k_gv", "seed", "rho"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
     def to_csv_row(self) -> str:
@@ -222,51 +214,205 @@ def _check_x(X: np.ndarray) -> float:
     return norm
 
 
-def _ratio_vector(weights: np.ndarray | None, params: np.ndarray, natural: bool, family: str) -> np.ndarray:
+class _System:
+    """A X = B prepared once per call: A, its equilibrated inverse and X.
+
+    Every condition number of one call reads from one instance, so A is
+    factored once.  An omitted X is solved from B after the inverse has
+    checked A for singularity.  The products of the strictly lower and
+    upper parts, and of the transfer profiles of the generators ``qs`` of
+    A, are computed on first use.
+    """
+
+    def __init__(self, A, X=None, B=None, qs: QsParams | None = None):
+        self.A, self.qs = np.asarray(A, dtype=float), qs
+        if X is not None:
+            _check_x(np.asarray(X, dtype=float))
+        self.Ainv = matrix_inverse(self.A)
+        self.X = np.linalg.solve(self.A, B) if X is None else np.asarray(X, dtype=float)
+        self.norm = _check_x(self.X)
+        self.absAinv, self.absX = np.abs(self.Ainv), np.abs(self.X)
+        self._parts = self._transfer = None
+
+    def k(self, total: np.ndarray) -> float:
+        return _mx(total) / self.norm
+
+    def parts(self):
+        """(|A_L X|, |A_U X|, |A⁻¹ A_L|, |A⁻¹ A_U|)."""
+        if self._parts is None:
+            AL, AU = np.tril(self.A, -1), np.triu(self.A, 1)
+            products = (AL @ self.X, AU @ self.X, self.Ainv @ AL, self.Ainv @ AU)
+            self._parts = tuple(np.abs(M, out=M) for M in products)
+        return self._parts
+
+    def transfer(self):
+        """(A⁻¹ Lcol, Lrow X, A⁻¹ Ucol, Urow X), one column/row per transfer index.
+
+        The a_i block of A is a_i Lcol_i Lrow_iᵀ and the b_i block
+        Ucol_i b_i Urow_iᵀ (see :func:`_profiles`).
+        """
+        if self._transfer is None:
+            lcol, lrow = _profiles(self.qs.p, self.qs.a, self.qs.q)
+            urow, ucol = _profiles(self.qs.h, self.qs.b, self.qs.g)
+            self._transfer = (self.Ainv @ lcol.T, lrow @ self.X, self.Ainv @ ucol.T, urow @ self.X)
+        return self._transfer
+
+
+def _profiles(p: np.ndarray, a: np.ndarray, q: np.ndarray):
+    """Rank-one factors of the transfer blocks of the lower part (p, a, q).
+
+    Zero-based, the block of the one-based transfer index i covers rows
+    r >= i and columns c <= i-2 and equals a_i Lcol_i Lrow_iᵀ, with
+    Lcol_i[r] = p[r-1] a[i-1] ... a[r-2] and Lrow_i[c] = a[c] ... a[i-3] q[c].
+    Returns (Lcol, Lrow) as (n-2) x n arrays, row k for i = k + 2.  The
+    upper part is the lower part of Aᵀ, so (h, b, g) gives (Urow, Ucol).
+    """
+    n = p.size + 1
+    col, row = np.zeros((2, max(n - 2, 0), n))
+    for k in range(n - 2):
+        j = n - 3 - k
+        if k > 0:
+            row[k] = row[k - 1] * a[k - 1]
+            col[j] = col[j + 1] * a[j + 1]
+        row[k, k], col[j, j + 2] = q[k], p[j + 1]
+    return col, row
+
+
+def _rank_one_sum(Y: np.ndarray, w: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Σ_i w_i |y_i| |z_i|ᵀ = |Y| diag(w) |Z|, that is Σ_i w_i |A⁻¹ y_i z_iᵀ X|
+    for Y = A⁻¹[y_i] and Z = [z_iᵀ] X.  A zero weight contributes exactly 0,
+    even against a non-finite factor.
+    """
+    left, right, skip = np.abs(Y), np.abs(Z), w == 0.0
+    left *= w
+    left[:, skip] = right[skip] = 0.0
+    return left @ right
+
+
+def _ratios(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
     """|e_k / omega_k| with the zero-parameter conventions.
 
     Natural mode: the ratio is identically 1, including at omega = 0.
     Explicit mode: 0 when both weight and parameter vanish, error when the
     weight is nonzero but the parameter is 0.
     """
-    if natural:
+    if weights.natural:
         return np.ones_like(params)
-    if weights is None:
+    if weights.e.get(family) is None:
         raise ValueError(f"explicit weights missing for parameter family {family!r}")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != params.shape:
+    e = np.asarray(weights.e[family], dtype=float)
+    if e.shape != params.shape:
         raise ValueError(f"weight vector for {family!r} has wrong length")
+    zero = params == 0.0
+    bad = np.flatnonzero(zero & (e != 0.0))
+    if bad.size:
+        raise ValueError(f"weighted ratio undefined: {family}_{bad[0]} = 0 with nonzero weight")
     out = np.zeros_like(params)
-    for k in range(params.size):
-        if params[k] == 0.0:
-            if weights[k] != 0.0:
-                raise ValueError(f"weighted ratio undefined: {family}_{k} = 0 with nonzero weight")
-            out[k] = 0.0
-        else:
-            out[k] = abs(weights[k] / params[k])
+    out[~zero] = np.abs(e[~zero] / params[~zero])
     return out
 
 
-def _rhs_term(Ainv: np.ndarray, rhs, weights: WeightSpec) -> np.ndarray:
-    """The RHS contribution: Σ_k |A⁻¹ S_k| f_k, or |A⁻¹| F for dense B."""
+def _row_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
+    """The weight diagonal D_family: the ratios padded with a 1 in the row
+    the family never reaches (the first for p and h, the last otherwise).
+    """
+    if family == "d":
+        e = np.abs(params) if weights.natural else weights.e.get("d")
+        if e is None:
+            raise ValueError("explicit weights missing for parameter family 'd'")
+        return np.asarray(e, dtype=float)
+    r = _ratios(weights, params, family)
+    return np.concatenate(([1.0], r) if family in "ph" else (r, [1.0]))
+
+
+def _rhs_weights(rhs, weights: WeightSpec):
+    """The RHS weights: f (one per sparse term) or F (dense, entrywise)."""
     if isinstance(rhs, SparseRhs):
         if weights.natural:
-            f = np.array([abs(omega) for _, omega in rhs.terms])
-        else:
-            if weights.f is None:
-                raise ValueError("explicit weights missing for sparse RHS")
-            f = np.asarray(weights.f, dtype=float)
-            if f.size != rhs.num_terms:
-                raise ValueError("RHS weight vector length mismatch")
-        total = np.zeros((Ainv.shape[0], rhs.m))
-        for (S, _), fk in zip(rhs.terms, f):
-            total += np.abs(Ainv @ S) * fk
-        return total
+            return np.array([abs(omega) for _, omega in rhs.terms])
+        if weights.f is None:
+            raise ValueError("explicit weights missing for sparse RHS")
+        if np.size(weights.f) != rhs.num_terms:
+            raise ValueError("RHS weight vector length mismatch")
+        return np.asarray(weights.f, dtype=float)
     B = np.asarray(rhs, dtype=float)
-    F = np.abs(B) if weights.natural else np.asarray(weights.F, dtype=float)
-    if F is None or F.shape != B.shape:
+    F = np.abs(B) if weights.natural else weights.F
+    if F is None or np.shape(F) != B.shape:
         raise ValueError("dense RHS weight matrix missing or mismatched")
-    return np.abs(Ainv) @ F
+    return np.asarray(F, dtype=float)
+
+
+def _rhs_term(s: _System, rhs, f) -> np.ndarray:
+    """The RHS contribution: Σ_k |A⁻¹ S_k| f_k, or |A⁻¹| F for dense B.
+
+    When every pattern has exactly one nonzero the sparse sum is |A⁻¹| F
+    with F = Σ_k f_k S_k, one product instead of one per term.
+    """
+    if not isinstance(rhs, SparseRhs):
+        return s.absAinv @ np.asarray(f, dtype=float)
+    if all(np.count_nonzero(S) == 1 for S, _ in rhs.terms):
+        F = np.zeros(rhs.n * rhs.m)
+        np.add.at(F, np.array([S.argmax() for S, _ in rhs.terms], dtype=np.intp), f)
+        return s.absAinv @ F.reshape(rhs.n, rhs.m)
+    terms = (np.abs(s.Ainv @ S) * fk for (S, _), fk in zip(rhs.terms, f))
+    return sum(terms, np.zeros((s.A.shape[0], rhs.m)))
+
+
+def _entry_term(s: _System, E=None) -> np.ndarray:
+    """|A⁻¹| E |X|, entrywise perturbations of A (E defaults to |A|)."""
+    E = np.abs(s.A) if E is None else np.asarray(E, dtype=float)
+    return s.absAinv @ (E @ s.absX)
+
+
+def _generator_terms(s: _System, Dd, Dp, Dq, Dg, Dh) -> np.ndarray:
+    """|A⁻¹|(D_d|X| + D_p|A_L X| + D_g|A_U X|) + |A⁻¹A_L| D_q|X| + |A⁻¹A_U| D_h|X|;
+    the GV form has no p and h families and passes None for them.
+    """
+    ALX, AUX, AinvAL, AinvAU = s.parts()
+    inner = Dd[:, None] * s.absX + Dg[:, None] * AUX
+    if Dp is not None:
+        inner += Dp[:, None] * ALX
+    total = s.absAinv @ inner + AinvAL @ (Dq[:, None] * s.absX)
+    if Dh is not None:
+        total += AinvAU @ (Dh[:, None] * s.absX)
+    return total
+
+
+def _k_qs(s: _System, rhs_term: np.ndarray, weights: WeightSpec) -> float:
+    """k_qs over the generators the system was built from."""
+    qs = s.qs
+    D = [_row_weights(weights, getattr(qs, f), f) for f in "dpqgh"]
+    ra, rb = (_ratios(weights, getattr(qs, f), f) for f in "ab")
+    Yl, Zl, Yu, Zu = s.transfer()
+    total = rhs_term + _generator_terms(s, *D)
+    total += _rank_one_sum(Yl, np.abs(qs.a) * ra, Zl)
+    total += _rank_one_sum(Yu, np.abs(qs.b) * rb, Zu)
+    return s.k(total)
+
+
+def _k_gv(s: _System, gv: GvTangentParams, rhs_term: np.ndarray, weights: WeightSpec) -> float:
+    """k_gv over ``gv``, whose QS embedding the system was built from.
+
+    The l_i term is the a_i block with its head row scaled by -s_i² and the
+    rows below by c_i²: its column is c_i² a_i Lcol_i - s_i² p_i e_i (the
+    head row) over the row profile Lrow_i.  The u_i term modifies Urow_i
+    with r_i and t_i the same way.
+    """
+    n = gv.n
+    Dd, Dv, Dw = (_row_weights(weights, getattr(gv, f), f) for f in "dvw")
+    rl, ru = (_ratios(weights, getattr(gv, f), f) for f in "lu")
+    trig = gv_tangent_to_trig(gv)
+    c, sn, r, t = trig.c, trig.s, trig.r, trig.t
+    Yl, Zl, Yu, Zu = s.transfer()
+    total = rhs_term + _generator_terms(s, Dd, None, Dv, Dw, None)
+    total += _rank_one_sum(Yl * (c * c * sn) - s.Ainv[:, 1 : n - 1] * (sn * sn * c), rl, Zl)
+    total += _rank_one_sum(Yu, ru, Zu * (r * r * t)[:, None] - s.X[1 : n - 1] * (t * t * r)[:, None])
+    return s.k(total)
+
+
+def _k_eff(s: _System, rhs_term: np.ndarray) -> float:
+    ones = np.ones(s.A.shape[0])
+    return s.k(rhs_term + _generator_terms(s, np.abs(np.diag(s.A)), ones, ones, ones, ones))
 
 
 def cond_unstructured(A, B, X, E=None, F=None) -> float:
@@ -275,14 +421,15 @@ def cond_unstructured(A, B, X, E=None, F=None) -> float:
     Returns ``max(|A⁻¹| E |X| + |A⁻¹| F) / max|X|``; ``E`` defaults to
     |A| and ``F`` to |B| (the natural entrywise weights).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    Ainv = matrix_inverse(A)
-    E = np.abs(A) if E is None else np.asarray(E, dtype=float)
-    F = np.abs(B) if F is None else np.asarray(F, dtype=float)
-    return _mx(np.abs(Ainv) @ E @ np.abs(X) + np.abs(Ainv) @ F) / norm
+    s = _System(A, X)
+    F = np.abs(np.asarray(B, dtype=float)) if F is None else F
+    return s.k(_entry_term(s, E) + _rhs_term(s, B, F))
+
+
+def _param_terms(s: _System, dA_terms: Sequence[np.ndarray], e: Sequence[float]) -> np.ndarray:
+    if len(e) != len(dA_terms):
+        raise ValueError("weight vector length does not match derivative provider count")
+    return sum((np.abs(s.Ainv @ dA @ s.X) * ek for dA, ek in zip(dA_terms, e)), np.zeros_like(s.X))
 
 
 def cond_param_general(
@@ -302,55 +449,33 @@ def cond_param_general(
     A-side parameters, ``f`` has length M and weights the B-only tail
     (its first ``n_shared`` entries are ignored).
     """
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    Ainv = matrix_inverse(A)
-    N, M = len(dA_terms), len(dB_terms)
-    if len(e) != N or len(f) != M:
+    s = _System(A, X)
+    Ainv, X = s.Ainv, s.X
+    if len(e) != len(dA_terms) or len(f) != len(dB_terms):
         raise ValueError("weight vector length does not match derivative provider count")
-    if n_shared > min(N, M):
+    if n_shared > min(len(dA_terms), len(dB_terms)):
         raise ValueError("shared prefix exceeds derivative provider count")
-    total = np.zeros_like(X, dtype=float)
+    total = _param_terms(s, dA_terms[n_shared:], e[n_shared:])
     for k in range(n_shared):
         total += np.abs(Ainv @ dA_terms[k] @ X - Ainv @ dB_terms[k]) * e[k]
-    for k in range(n_shared, N):
-        total += np.abs(Ainv @ dA_terms[k] @ X) * e[k]
-    for k in range(n_shared, M):
+    for k in range(n_shared, len(dB_terms)):
         total += np.abs(Ainv @ dB_terms[k]) * f[k]
-    return _mx(total) / norm
+    return s.k(total)
 
 
 def cond_param_denseB(A, X, dA_terms: Sequence[np.ndarray], e: Sequence[float], F) -> float:
     """Parameterized A with a dense, independently perturbed B."""
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    Ainv = matrix_inverse(A)
-    if len(e) != len(dA_terms):
-        raise ValueError("weight vector length does not match derivative provider count")
-    total = np.abs(Ainv) @ np.asarray(F, dtype=float)
-    for dA, ek in zip(dA_terms, e):
-        total += np.abs(Ainv @ dA @ X) * ek
-    return _mx(total) / norm
+    s = _System(A, X)
+    return s.k(s.absAinv @ np.asarray(F, dtype=float) + _param_terms(s, dA_terms, e))
 
 
 def cond_param_sparseB(A, X, dA_terms: Sequence[np.ndarray], e: Sequence[float], rhs: SparseRhs, f: Sequence[float]) -> float:
     """Parameterized A with a sparse B = Σ ω_k S_k, so ∂B/∂ω_k = S_k."""
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    Ainv = matrix_inverse(A)
-    if len(e) != len(dA_terms):
-        raise ValueError("weight vector length does not match derivative provider count")
+    s = _System(A, X)
+    total = _param_terms(s, dA_terms, e)
     if len(f) != rhs.num_terms:
         raise ValueError("RHS weight vector length mismatch")
-    total = np.zeros_like(X, dtype=float)
-    for dA, ek in zip(dA_terms, e):
-        total += np.abs(Ainv @ dA @ X) * ek
-    for (S, _), fk in zip(rhs.terms, f):
-        total += np.abs(Ainv @ S) * fk
-    return _mx(total) / norm
+    return s.k(total + _rhs_term(s, rhs, f))
 
 
 def cond_unstructuredA_sparseB(A, X, rhs: SparseRhs, E=None, f=None) -> float:
@@ -358,209 +483,83 @@ def cond_unstructuredA_sparseB(A, X, rhs: SparseRhs, E=None, f=None) -> float:
 
     Natural weights (the defaults) use E = |A| and f_k = |ω_k|.
     """
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    Ainv = matrix_inverse(A)
-    E = np.abs(A) if E is None else np.asarray(E, dtype=float)
-    if f is None:
-        f = [abs(omega) for _, omega in rhs.terms]
+    s = _System(A, X)
+    f = _rhs_weights(rhs, WeightSpec()) if f is None else f
     if len(f) != rhs.num_terms:
         raise ValueError("RHS weight vector length mismatch")
-    total = np.abs(Ainv) @ E @ np.abs(X)
-    for (S, _), fk in zip(rhs.terms, f):
-        total += np.abs(Ainv @ S) * fk
-    return _mx(total) / norm
+    return s.k(_entry_term(s, E) + _rhs_term(s, rhs, f))
 
 
 def cond_qs(params: QsParams, rhs, X, weights: WeightSpec | None = None) -> float:
     """Structured condition number over the generator representation.
 
-    Evaluates the grouped expression term by term: RHS contribution,
-    diagonal, the four generator-vector terms through the weight diagonals
-    D_p, D_q, D_g, D_h, and one block term per transfer coefficient a_i,
-    b_i scaled by the weight/parameter ratio.  With natural weights the
-    diagonals collapse to the identity (D_d to |A_D|) and every ratio is 1.
+    Sums the RHS contribution, the diagonal, the four generator-vector
+    terms through the weight diagonals D_p, D_q, D_g, D_h, and one rank-one
+    term per transfer coefficient a_i, b_i scaled by the weight/parameter
+    ratio.  With natural weights the diagonals collapse to the identity
+    (D_d to |A_D|) and every ratio is 1.
     """
     weights = weights or WeightSpec()
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    n = params.n
-    A = qs_materialize(params)
-    Ainv = matrix_inverse(A)
-    AL, AD, AU = split_lower_diag_upper(A)
-    absAinv = np.abs(Ainv)
-
-    total = _rhs_term(Ainv, rhs, weights)
-
-    if weights.natural:
-        Dd = np.abs(params.d)
-    else:
-        ed = weights.e.get("d")
-        if ed is None:
-            raise ValueError("explicit weights missing for parameter family 'd'")
-        Dd = np.asarray(ed, dtype=float)
-    total += absAinv @ (Dd[:, None] * np.abs(X))
-
-    natural = weights.natural
-    # D_p = diag(1, |e_p/p|_{2..n}); the leading 1 reflects that row 1 has
-    # no lower part.
-    Dp = np.ones(n)
-    Dp[1:] = _ratio_vector(weights.e.get("p"), params.p, natural, "p")
-    total += absAinv @ (Dp[:, None] * np.abs(AL @ X))
-
-    Dq = np.ones(n)
-    Dq[: n - 1] = _ratio_vector(weights.e.get("q"), params.q, natural, "q")
-    total += np.abs(Ainv @ AL) @ (Dq[:, None] * np.abs(X))
-
-    Dg = np.ones(n)
-    Dg[: n - 1] = _ratio_vector(weights.e.get("g"), params.g, natural, "g")
-    total += absAinv @ (Dg[:, None] * np.abs(AU @ X))
-
-    Dh = np.ones(n)
-    Dh[1:] = _ratio_vector(weights.e.get("h"), params.h, natural, "h")
-    total += np.abs(Ainv @ AU) @ (Dh[:, None] * np.abs(X))
-
-    ra = _ratio_vector(weights.e.get("a"), params.a, natural, "a")
-    rb = _ratio_vector(weights.e.get("b"), params.b, natural, "b")
-    for i in range(2, n):  # one-based transfer index
-        if ra[i - 2] != 0.0:
-            Ba = np.zeros((n, n))
-            Ba[i:, : i - 1] = A[i:, : i - 1]
-            total += np.abs(Ainv @ Ba @ X) * ra[i - 2]
-        if rb[i - 2] != 0.0:
-            Bb = np.zeros((n, n))
-            Bb[: i - 1, i:] = A[: i - 1, i:]
-            total += np.abs(Ainv @ Bb @ X) * rb[i - 2]
-    return _mx(total) / norm
+    s = _System(qs_materialize(params), X, qs=params)
+    return _k_qs(s, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
 
 
 def cond_gv(params: GvTangentParams, rhs, X, weights: WeightSpec | None = None) -> float:
     """Structured condition number over the tangent GV representation."""
     weights = weights or WeightSpec()
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    n = params.n
-    if n < 3:
-        raise ValueError("GV condition number requires order at least 3")
     qs = gv_to_qs(params)
-    A = qs_materialize(qs)
-    Ainv = matrix_inverse(A)
-    AL, AD, AU = split_lower_diag_upper(A)
-    absAinv = np.abs(Ainv)
-    trig = gv_tangent_to_trig(params)
-
-    total = _rhs_term(Ainv, rhs, weights)
-
-    if weights.natural:
-        Dd = np.abs(params.d)
-    else:
-        ed = weights.e.get("d")
-        if ed is None:
-            raise ValueError("explicit weights missing for parameter family 'd'")
-        Dd = np.asarray(ed, dtype=float)
-    total += absAinv @ (Dd[:, None] * np.abs(X))
-
-    natural = weights.natural
-    Dv = np.ones(n)
-    Dv[: n - 1] = _ratio_vector(weights.e.get("v"), params.v, natural, "v")
-    total += np.abs(Ainv @ AL) @ (Dv[:, None] * np.abs(X))
-
-    Dw = np.ones(n)
-    Dw[: n - 1] = _ratio_vector(weights.e.get("w"), params.w, natural, "w")
-    total += absAinv @ (Dw[:, None] * np.abs(AU @ X))
-
-    rl = _ratio_vector(weights.e.get("l"), params.l, natural, "l")
-    ru = _ratio_vector(weights.e.get("u"), params.u, natural, "u")
-    s, t = trig.s, trig.t
-    for i in range(2, n):  # one-based rotation index
-        if rl[i - 2] != 0.0:
-            M = np.zeros((n, n))
-            M[i - 1, : i - 1] = -s[i - 2] ** 2 * A[i - 1, : i - 1]
-            M[i:, : i - 1] = (1.0 - s[i - 2] ** 2) * A[i:, : i - 1]
-            total += np.abs(Ainv @ M @ X) * rl[i - 2]
-        if ru[i - 2] != 0.0:
-            M = np.zeros((n, n))
-            M[: i - 1, i - 1] = -t[i - 2] ** 2 * A[: i - 1, i - 1]
-            M[: i - 1, i:] = (1.0 - t[i - 2] ** 2) * A[: i - 1, i:]
-            total += np.abs(Ainv @ M @ X) * ru[i - 2]
-    return _mx(total) / norm
+    s = _System(qs_materialize(qs), X, qs=qs)
+    return _k_gv(s, params, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
 
 
 def cond_eff(params: QsParams, rhs, X) -> float:
     """Effective condition number: structure-aware but parameter-free.
 
-    Uses only the materialized matrix and the RHS pattern; a dense RHS is
-    expanded to the trivial one-pattern-per-entry sparse form, which makes
-    its contribution collapse to |A⁻¹||B|.
+    Uses only the materialized matrix and the RHS pattern; a dense RHS
+    counts as one pattern per entry, whose contribution is |A⁻¹||B|.
     """
-    X = np.asarray(X, dtype=float)
-    norm = _check_x(X)
-    A = qs_materialize(params)
-    Ainv = matrix_inverse(A)
-    AL, AD, AU = split_lower_diag_upper(A)
-    absAinv = np.abs(Ainv)
-    if not isinstance(rhs, SparseRhs):
-        rhs = SparseRhs.from_dense(np.asarray(rhs, dtype=float))
-    total = np.zeros_like(X, dtype=float)
-    for S, omega in rhs.terms:
-        total += np.abs(Ainv @ S) * abs(omega)
-    total += absAinv @ (np.abs(np.diag(AD))[:, None] * np.abs(X))
-    total += absAinv @ np.abs(AL @ X)
-    total += np.abs(Ainv @ AL) @ np.abs(X)
-    total += absAinv @ np.abs(AU @ X)
-    total += np.abs(Ainv @ AU) @ np.abs(X)
-    return _mx(total) / norm
+    s = _System(qs_materialize(params), X)
+    return _k_eff(s, _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
 
 
-def cond_report(source, rhs, X=None, seed=None, rho=None) -> CondReport:
-    """Compute every applicable natural-weight condition number.
+def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | None = None) -> CondReport:
+    """Compute every applicable condition number from one prepared system.
 
     ``source`` may be QS parameters, GV parameters, or a dense matrix
     recognizable as {1;1}-quasiseparable.  If X is omitted it is solved
-    from the materialized system.
+    from the materialized system.  ``weights`` (natural by default) applies
+    to ``k_qs``, ``k_gv`` and the RHS of the unstructured values; ``k_eff``
+    is parameter-free.
     """
-    gv = None
-    if isinstance(source, GvTangentParams):
-        gv = source
-        qs = gv_to_qs(source)
+    weights = weights or WeightSpec()
+    gv = source if isinstance(source, GvTangentParams) else None
+    if gv is not None:
+        qs = gv_to_qs(gv)
     elif isinstance(source, QsParams):
         qs = source
     else:
         qs = qs_from_dense(np.asarray(source, dtype=float))
-    A = qs_materialize(qs)
-    n = qs.n
-
-    if isinstance(rhs, SparseRhs):
-        B = rhs.materialize()
-        rhs_mode = "sparse"
-    else:
-        B = np.asarray(rhs, dtype=float)
-        rhs_mode = "dense"
+    sparse = isinstance(rhs, SparseRhs)
+    B = rhs.materialize() if sparse else np.asarray(rhs, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    m = B.shape[1]
+    rhs = rhs if sparse else B
+    if X is not None and np.ndim(X) == 1:
+        X = np.asarray(X, dtype=float)[:, None]
 
-    if X is None:
-        Ainv = matrix_inverse(A)  # singularity check before solving
-        X = np.linalg.solve(A, B)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-
-    k_unstr = cond_unstructured(A, B, X)
-    k_unstr_sparse = None
-    if rhs_mode == "sparse":
-        k_unstr_sparse = cond_unstructuredA_sparseB(A, X, rhs)
-    k_qs = cond_qs(qs, rhs, X)
-    k_eff = cond_eff(qs, rhs, X)
-    k_gv = cond_gv(gv, rhs, X) if gv is not None else None
+    s = _System(qs_materialize(qs), X, B, qs=qs)
+    rhs_term = _rhs_term(s, rhs, _rhs_weights(rhs, weights))
+    k_qs = _k_qs(s, rhs_term, weights)
+    k_gv = _k_gv(s, gv, rhs_term, weights) if gv is not None else None
+    k_eff = _k_eff(s, rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
+    entry = _entry_term(s)
+    F = np.abs(B) if weights.F is None else weights.F
     return CondReport(
-        n=n,
-        m=m,
-        rhs_mode=rhs_mode,
-        k_unstructured=k_unstr,
-        k_unstructured_sparse=k_unstr_sparse,
+        n=qs.n,
+        m=B.shape[1],
+        rhs_mode="sparse" if sparse else "dense",
+        k_unstructured=s.k(entry + _rhs_term(s, B, F)),
+        k_unstructured_sparse=s.k(entry + rhs_term) if sparse else None,
         k_qs=k_qs,
         k_eff=k_eff,
         k_gv=k_gv,

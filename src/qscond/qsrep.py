@@ -147,27 +147,30 @@ def gv_tangent_to_trig(gv: GvTangentParams) -> GvTrigParams:
     return GvTrigParams(c=c, s=s, v=gv.v.copy(), d=gv.d.copy(), w=gv.w.copy(), r=r, t=t)
 
 
+def _fill_generators(d, p, a, q, g, b, h) -> np.ndarray:
+    """Dense matrix from generator vectors, one sweep per sub/superdiagonal.
+
+    Entry (i, i-k) is ((p_i a_{i-1}) ... a_{i-k+1}) q_{i-k} and entry
+    (i, i+k) is g_i (((h_{i+k} b_{i+k-1}) ... b_{i+1}): the running products
+    are carried as vectors and multiplied in the order of a walk along the
+    row (lower) or column (upper), one factor per step.
+    """
+    n = d.size
+    A = np.zeros((n, n))
+    flat = A.reshape(-1)
+    flat[:: n + 1] = d
+    lower, upper = p, h
+    for k in range(1, n):
+        flat[k * n :: n + 1] = lower * q[: n - k]
+        flat[k : (n - k) * n : n + 1] = g[: n - k] * upper
+        lower = lower[1:] * a[: n - k - 1]
+        upper = upper[1:] * b[: n - k - 1]
+    return A
+
+
 def qs_materialize(qs: QsParams) -> np.ndarray:
     """Assemble the dense n-by-n matrix from its generator representation."""
-    n = qs.n
-    p, a, q, d, g, b, h = qs.p, qs.a, qs.q, qs.d, qs.g, qs.b, qs.h
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, d)
-    # Lower triangle: walk each row i leftwards, accumulating the a-product.
-    for i in range(1, n):
-        val = p[i - 1]
-        for j in range(i - 1, -1, -1):
-            A[i, j] = val * q[j]
-            if j >= 1:
-                val *= a[j - 1]
-    # Upper triangle: walk each column j upwards, accumulating the b-product.
-    for j in range(1, n):
-        val = h[j - 1]
-        for i in range(j - 1, -1, -1):
-            A[i, j] = g[i] * val
-            if i >= 1:
-                val *= b[i - 1]
-    return A
+    return _fill_generators(qs.d, qs.p, qs.a, qs.q, qs.g, qs.b, qs.h)
 
 
 def gv_to_qs(gv: GvTangentParams) -> QsParams:
@@ -197,28 +200,14 @@ def gv_to_qs(gv: GvTangentParams) -> QsParams:
 def gv_materialize(gv: GvTangentParams) -> np.ndarray:
     """Assemble the dense matrix directly from the GV representation.
 
-    Independent of :func:`gv_to_qs`: entries are built from the
-    cosine/sine recurrences, so the two routes can be cross-checked.
+    Entries are built from the cosine/sine recurrences: row i of the lower
+    part carries the head factor c_i (none for the last row), then one sine
+    per step to the left; the upper part likewise with r and t.
     """
     trig = gv_tangent_to_trig(gv)
-    n = gv.n
-    c, s, v, d, w, r, t = trig.c, trig.s, trig.v, trig.d, trig.w, trig.r, trig.t
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, d)
-    for i in range(1, n):
-        # head factor c_i for rows 2..n-1, none for the last row
-        val = c[i - 1] if i < n - 1 else 1.0
-        for j in range(i - 1, -1, -1):
-            A[i, j] = val * v[j]
-            if j >= 1:
-                val *= s[j - 1]
-    for j in range(1, n):
-        val = r[j - 1] if j < n - 1 else 1.0
-        for i in range(j - 1, -1, -1):
-            A[i, j] = w[i] * val
-            if i >= 1:
-                val *= t[i - 1]
-    return A
+    return _fill_generators(
+        trig.d, np.append(trig.c, 1.0), trig.s, trig.v, trig.w, trig.t, np.append(trig.r, 1.0)
+    )
 
 
 def qs_matvec(qs: QsParams, x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import qscond.condnum as condnum
 from qscond import (
     QsParams,
     SparseRhs,
@@ -18,9 +21,112 @@ from qscond import (
     qs_materialize,
     qs_weighted_derivatives,
 )
+from qscond.cli import main
+from qscond.condnum import matrix_inverse
+from qscond.experiments import gen_illscaled_qs, gen_sparse_rhs
+from qscond.io import params_to_json_dict
+from qscond.qsrep import gv_tangent_to_trig, split_lower_diag_upper
 from qscond.sensitivity import natural_term_weights
 
 from conftest import make_gv, make_qs
+
+
+# Reference: the structured numbers summed one dense n x n block per
+# transfer (a_i, b_i) or rotation (l_i, u_i) parameter, O(n^4).
+
+
+def block_ratio(weights, params, natural, family):
+    if natural:
+        return np.ones_like(params)
+    if weights is None:
+        raise ValueError(f"explicit weights missing for parameter family {family!r}")
+    out = np.zeros_like(params)
+    for k in range(params.size):
+        if params[k] == 0.0:
+            if weights[k] != 0.0:
+                raise ValueError(f"weighted ratio undefined: {family}_{k} = 0 with nonzero weight")
+        else:
+            out[k] = abs(weights[k] / params[k])
+    return out
+
+
+def block_rhs_term(Ainv, rhs, weights):
+    if isinstance(rhs, SparseRhs):
+        f = [abs(o) for _, o in rhs.terms] if weights.natural else weights.f
+        total = np.zeros((Ainv.shape[0], rhs.m))
+        for (S, _), fk in zip(rhs.terms, f):
+            total += np.abs(Ainv @ S) * fk
+        return total
+    return np.abs(Ainv) @ (np.abs(rhs) if weights.natural else weights.F)
+
+
+def block_generator_terms(params, weights, Ainv, A, X, fams):
+    """Diagonal and generator-vector terms; fams maps family -> (kind, lead)."""
+    AL, _, AU = split_lower_diag_upper(A)
+    absAinv = np.abs(Ainv)
+    Dd = np.abs(params.d) if weights.natural else weights.e["d"]
+    total = absAinv @ (Dd[:, None] * np.abs(X))
+    for fam, (kind, lead) in fams.items():
+        D = np.ones(params.n)
+        r = block_ratio(weights.e.get(fam), getattr(params, fam), weights.natural, fam)
+        if lead:
+            D[1:] = r
+        else:
+            D[:-1] = r
+        if kind == "row":  # p, g, w: |A^-1| D |A_part X|
+            part = AL if fam == "p" else AU
+            total += absAinv @ (D[:, None] * np.abs(part @ X))
+        else:  # q, h, v: |A^-1 A_part| D |X|
+            part = AU if fam == "h" else AL
+            total += np.abs(Ainv @ part) @ (D[:, None] * np.abs(X))
+    return total
+
+
+def block_cond_qs(params, rhs, X, weights=None):
+    weights = weights or WeightSpec()
+    n = params.n
+    A = qs_materialize(params)
+    Ainv = matrix_inverse(A)
+    total = block_rhs_term(Ainv, rhs, weights)
+    fams = {"p": ("row", True), "q": ("col", False), "g": ("row", False), "h": ("col", True)}
+    total += block_generator_terms(params, weights, Ainv, A, X, fams)
+    ra = block_ratio(weights.e.get("a"), params.a, weights.natural, "a")
+    rb = block_ratio(weights.e.get("b"), params.b, weights.natural, "b")
+    for i in range(2, n):  # one-based transfer index
+        if ra[i - 2] != 0.0:
+            Ba = np.zeros((n, n))
+            Ba[i:, : i - 1] = A[i:, : i - 1]
+            total += np.abs(Ainv @ Ba @ X) * ra[i - 2]
+        if rb[i - 2] != 0.0:
+            Bb = np.zeros((n, n))
+            Bb[: i - 1, i:] = A[: i - 1, i:]
+            total += np.abs(Ainv @ Bb @ X) * rb[i - 2]
+    return np.max(total) / np.max(np.abs(X))
+
+
+def block_cond_gv(params, rhs, X, weights=None):
+    weights = weights or WeightSpec()
+    n = params.n
+    A = qs_materialize(gv_to_qs(params))
+    Ainv = matrix_inverse(A)
+    total = block_rhs_term(Ainv, rhs, weights)
+    total += block_generator_terms(params, weights, Ainv, A, X, {"v": ("col", False), "w": ("row", False)})
+    rl = block_ratio(weights.e.get("l"), params.l, weights.natural, "l")
+    ru = block_ratio(weights.e.get("u"), params.u, weights.natural, "u")
+    trig = gv_tangent_to_trig(params)
+    s, t = trig.s, trig.t
+    for i in range(2, n):  # one-based rotation index
+        if rl[i - 2] != 0.0:
+            M = np.zeros((n, n))
+            M[i - 1, : i - 1] = -s[i - 2] ** 2 * A[i - 1, : i - 1]
+            M[i:, : i - 1] = (1.0 - s[i - 2] ** 2) * A[i:, : i - 1]
+            total += np.abs(Ainv @ M @ X) * rl[i - 2]
+        if ru[i - 2] != 0.0:
+            M = np.zeros((n, n))
+            M[: i - 1, i - 1] = -t[i - 2] ** 2 * A[: i - 1, i - 1]
+            M[: i - 1, i:] = (1.0 - t[i - 2] ** 2) * A[: i - 1, i:]
+            total += np.abs(Ainv @ M @ X) * ru[i - 2]
+    return np.max(total) / np.max(np.abs(X))
 
 
 def entry_derivatives(A):
@@ -179,7 +285,7 @@ class TestCondQs:
             scaled.h /= beta
             assert cond_qs(scaled, B, X) == pytest.approx(base, rel=1e-12)
 
-    def test_explicit_natural_weights_agree(self, rng):
+    def test_explicit_natural_weights_agree(self, rng, tmp_path, capsys):
         qs = make_qs(5, rng)
         B = rng.standard_normal((5, 2))
         X = np.linalg.solve(qs_materialize(qs), B)
@@ -188,7 +294,33 @@ class TestCondQs:
             e={f: np.abs(getattr(qs, f)) for f in "paqdgbh"},
             F=np.abs(B),
         )
-        assert cond_qs(qs, B, X, explicit) == pytest.approx(cond_qs(qs, B, X), rel=1e-13)
+        assert cond_qs(qs, B, X, explicit) == cond_qs(qs, B, X)
+        # Through the CLI, every k_* of a weights file equal to the natural
+        # weights is the natural value to the bit, ill-scaled input included.
+        sparse = gen_sparse_rhs(12, 3, 0.4, 2)
+        cases = [(make_qs(12, rng), sparse), (make_qs(12, rng), rng.standard_normal((12, 3)))]
+        cases.append((gen_illscaled_qs(20, 5), gen_sparse_rhs(20, 3, 0.3, 5)))
+        for k, (params, rhs) in enumerate(cases):
+            paths = {name: str(tmp_path / f"{k}-{name}.json") for name in ("qs", "rhs", "w")}
+            weights = {"e": {f: np.abs(getattr(params, f)).tolist() for f in "paqdgbh"}}
+            if isinstance(rhs, SparseRhs):
+                terms = [(*np.argwhere(S)[0], omega) for S, omega in rhs.terms]
+                rhs_doc = {"n": rhs.n, "m": rhs.m, "terms": [{"i": int(i) + 1, "j": int(j) + 1, "omega": w} for i, j, w in terms]}
+                weights["f"] = [abs(w) for _, _, w in terms]
+            else:
+                rhs_doc = rhs.tolist()
+                weights["F"] = np.abs(rhs).tolist()
+            for name, doc in (("qs", params_to_json_dict(params)), ("rhs", rhs_doc), ("w", weights)):
+                with open(paths[name], "w") as fh:
+                    json.dump(doc, fh)
+            outputs = []
+            for extra in ([], ["--weights", paths["w"]]):
+                assert main(["cond", paths["qs"], paths["rhs"], "--json", *extra]) == 0
+                values = json.loads(capsys.readouterr().out)
+                outputs.append({key: v for key, v in values.items() if key.startswith("k_")})
+            assert outputs[0] == outputs[1]
+            expected = {"k_qs", "k_eff", "k_unstructured"} | ({"k_unstructured_sparse"} if isinstance(rhs, SparseRhs) else set())
+            assert set(outputs[0]) == expected
 
     def test_zero_param_with_weight_errors(self, rng):
         qs = make_qs(5, rng)
@@ -328,3 +460,101 @@ class TestCondReport:
         assert d["n"] == 4 and d["seed"] == 7 and "k_qs" in d
         row = rep.to_csv_row()
         assert len(row.split(",")) == 9
+
+
+def rhs_cases(n, rng):
+    """Single-entry sparse, multi-entry sparse (one all-ones pattern) and dense RHS."""
+    m = 3
+    B = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.5)
+    B[0, 0] = 1.0
+    multi = SparseRhs(
+        n=n,
+        m=m,
+        terms=[(np.ones((n, m)), 0.7), ((rng.random((n, m)) < 0.4).astype(float), -1.3)]
+        + SparseRhs.from_dense(B).terms,
+    )
+    return [SparseRhs.from_dense(B), multi, rng.standard_normal((n, m))]
+
+
+def explicit_weights(params, rhs, fams, rng):
+    """Random weights; every zero parameter gets a zero weight (ratio 0)."""
+    e = {f: rng.random(getattr(params, f).size) * (getattr(params, f) != 0.0) for f in fams}
+    if isinstance(rhs, SparseRhs):
+        return WeightSpec(variant="explicit", e=e, f=rng.random(rhs.num_terms))
+    return WeightSpec(variant="explicit", e=e, F=rng.random(rhs.shape))
+
+
+def solve(A, rhs):
+    return np.linalg.solve(A, rhs.materialize() if isinstance(rhs, SparseRhs) else rhs)
+
+
+class TestRankOneCore:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 25])
+    def test_qs_matches_block_loop(self, n, rng):
+        for trial in range(3):
+            qs = make_qs(n, rng)
+            if n >= 4 and trial == 2:  # zero transfer parameters with zero weights
+                qs.a[1] = 0.0
+                qs.b[0] = 0.0
+            for rhs in rhs_cases(n, rng):
+                X = solve(qs_materialize(qs), rhs)
+                for w in (None, explicit_weights(qs, rhs, "paqdgbh", rng)):
+                    got, want = cond_qs(qs, rhs, X, w), block_cond_qs(qs, rhs, X, w)
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 25])
+    def test_gv_matches_block_loop(self, n, rng):
+        for trial in range(3):
+            gv = make_gv(n, rng)
+            if trial == 2:  # zero tangents with zero weights
+                gv.l[0] = 0.0
+                gv.u[-1] = 0.0
+            for rhs in rhs_cases(n, rng):
+                X = solve(qs_materialize(gv_to_qs(gv)), rhs)
+                for w in (None, explicit_weights(gv, rhs, "lvdwu", rng)):
+                    got, want = cond_gv(gv, rhs, X, w), block_cond_gv(gv, rhs, X, w)
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 25])
+    def test_eff_and_unstructured_sparse_match_per_term_sums(self, n, rng):
+        qs = make_qs(n, rng)
+        A = qs_materialize(qs)
+        Ainv = matrix_inverse(A)
+        AL, AD, AU = split_lower_diag_upper(A)
+        for rhs in rhs_cases(n, rng)[:2]:
+            X = solve(A, rhs)
+            R = block_rhs_term(Ainv, rhs, WeightSpec())
+            absAinv, absX = np.abs(Ainv), np.abs(X)
+            eff = R + absAinv @ np.abs(AD) @ absX
+            eff += absAinv @ np.abs(AL @ X) + np.abs(Ainv @ AL) @ absX
+            eff += absAinv @ np.abs(AU @ X) + np.abs(Ainv @ AU) @ absX
+            norm = np.max(np.abs(X))
+            assert cond_eff(qs, rhs, X) == pytest.approx(np.max(eff) / norm, rel=1e-12)
+            unstr = R + absAinv @ np.abs(A) @ absX
+            assert cond_unstructuredA_sparseB(A, X, rhs) == pytest.approx(np.max(unstr) / norm, rel=1e-12)
+
+
+class TestFactorOnce:
+    @pytest.mark.parametrize("kind", ["qs", "gv", "dense"])
+    @pytest.mark.parametrize("given_x", [False, True])
+    def test_one_inverse_and_one_materialization_per_report(self, kind, given_x, rng, monkeypatch):
+        gv = make_gv(9, rng)
+        source = {"qs": gv_to_qs(gv), "gv": gv, "dense": qs_materialize(gv_to_qs(gv))}[kind]
+        rhs = SparseRhs.from_dense(rng.standard_normal((9, 2)) * (rng.random((9, 2)) < 0.5) + np.eye(9, 2))
+        X = solve(qs_materialize(gv_to_qs(gv)), rhs) if given_x else None
+        calls = {"matrix_inverse": 0, "qs_materialize": 0}
+
+        def counted(name):
+            real = getattr(condnum, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(condnum, name, counted(name))
+        rep = cond_report(source, rhs, X=X)
+        assert calls == {"matrix_inverse": 1, "qs_materialize": 1}
+        assert (rep.k_gv is not None) == (kind == "gv")

@@ -15,7 +15,29 @@ from qscond import (
     split_lower_diag_upper,
 )
 
+from qscond.experiments import gen_illscaled_qs
+
 from conftest import make_gv, make_qs
+
+
+def scalar_fill(d, p, a, q, g, b, h):
+    """Entry-by-entry assembly: walk each row leftwards, each column upwards."""
+    n = len(d)
+    A = np.zeros((n, n))
+    np.fill_diagonal(A, d)
+    for i in range(1, n):
+        val = p[i - 1]
+        for j in range(i - 1, -1, -1):
+            A[i, j] = val * q[j]
+            if j >= 1:
+                val *= a[j - 1]
+    for j in range(1, n):
+        val = h[j - 1]
+        for i in range(j - 1, -1, -1):
+            A[i, j] = g[i] * val
+            if i >= 1:
+                val *= b[i - 1]
+    return A
 
 
 class TestQsMaterialize:
@@ -50,6 +72,18 @@ class TestQsMaterialize:
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
             QsParams(p=[1, 2], a=[], q=[1], d=[1, 1], g=[1], b=[], h=[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bit_identical_to_scalar_walk(self, rng):
+        cases = [make_qs(n, rng) for n in (2, 3, 20)] + [gen_illscaled_qs(30, 1000)]
+        # Overflow: the running products reach inf in the same entries.
+        big = make_qs(20, rng)
+        big.p *= 1e200
+        big.a *= 1e30
+        cases.append(big)
+        for qs in cases:
+            expected = scalar_fill(qs.d, qs.p, qs.a, qs.q, qs.g, qs.b, qs.h)
+            assert np.array_equal(qs_materialize(qs), expected, equal_nan=True)
 
 
 class TestGvTrig:
@@ -91,6 +125,13 @@ class TestGvMaterialize:
         gv = GvTangentParams(l=[1.0], v=[1, 1], d=[0, 0, 0], w=[1, 1], u=[1.0])
         A = gv_materialize(gv)
         assert A[2, 0] == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+
+    def test_bit_identical_to_scalar_walk(self, rng):
+        for n in (3, 4, 20):
+            gv = make_gv(n, rng)
+            t = gv_tangent_to_trig(gv)
+            expected = scalar_fill(t.d, np.append(t.c, 1.0), t.s, t.v, t.w, t.t, np.append(t.r, 1.0))
+            assert np.array_equal(gv_materialize(gv), expected)
 
     def test_matches_qs_route(self, rng):
         for n in (3, 4, 7, 12):
