@@ -16,17 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import experiments, io, oracle
-from .condnum import (
-    CSV_HEADER,
-    SparseRhs,
-    WeightSpec,
-    cond_eff,
-    cond_gv,
-    cond_qs,
-    cond_report,
-    cond_unstructured,
-    cond_unstructuredA_sparseB,
-)
+from .condnum import SparseRhs, WeightSpec, cond_report
 from .qsrep import (
     GvTangentParams,
     QsParams,
@@ -133,13 +123,11 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     rhs = SparseRhs.from_dense(B)
     dB = [S for S, _ in rhs.terms]
     fB = [abs(w) for _, w in rhs.terms]
-    devs["qs"] = rel(
-        cond_qs(qs, rhs, X),
-        oracle.linearized_sup_oracle(A, X, dA, eA, dB, fB),
-    )
+    report = cond_report(qs, rhs, X=X)
+    devs["qs"] = rel(report.k_qs, oracle.linearized_sup_oracle(A, X, dA, eA, dB, fB))
     eff = [t for t in terms if t.family not in ("a", "b")]
     devs["eff"] = rel(
-        cond_eff(qs, rhs, X),
+        report.k_eff,
         oracle.linearized_sup_oracle(
             A, X, [t.matrix for t in eff], natural_term_weights(eff), dB, fB
         ),
@@ -152,14 +140,9 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
             E[i, j] = 1.0
             dA_entries.append(E)
             eA_entries.append(abs(A[i, j]))
-    devs["unstructured"] = rel(
-        cond_unstructured(A, B, X),
-        oracle.linearized_sup_oracle(A, X, dA_entries, eA_entries, dB, fB),
-    )
-    devs["unstructured_sparse"] = rel(
-        cond_unstructuredA_sparseB(A, X, rhs),
-        oracle.linearized_sup_oracle(A, X, dA_entries, eA_entries, dB, fB),
-    )
+    brute = oracle.linearized_sup_oracle(A, X, dA_entries, eA_entries, dB, fB)
+    devs["unstructured"] = rel(report.k_unstructured, brute)
+    devs["unstructured_sparse"] = rel(report.k_unstructured_sparse, brute)
     if n >= 3:
         gv = experiments.gen_random_gv(n, seed + 1)
         Agv = qs_materialize(gv_to_qs(gv))
@@ -168,7 +151,7 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
         gterms = gv_weighted_derivatives(gv)
         rhs_gv = SparseRhs.from_dense(Bgv)
         devs["gv"] = rel(
-            cond_gv(gv, rhs_gv, Xgv),
+            cond_report(gv, rhs_gv, X=Xgv).k_gv,
             oracle.linearized_sup_oracle(
                 Agv,
                 Xgv,

@@ -529,7 +529,9 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     recognizable as {1;1}-quasiseparable.  If X is omitted it is solved
     from the materialized system.  ``weights`` (natural by default) applies
     to ``k_qs``, ``k_gv`` and the RHS of the unstructured values; ``k_eff``
-    is parameter-free.
+    is parameter-free.  For a GV source the parameter weights name the GV
+    families, so ``k_qs`` of the embedded generators keeps natural
+    generator weights; its RHS weights are still the explicit ones.
     """
     weights = weights or WeightSpec()
     gv = source if isinstance(source, GvTangentParams) else None
@@ -549,7 +551,7 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
 
     s = _System(qs_materialize(qs), X, B, qs=qs)
     rhs_term = _rhs_term(s, rhs, _rhs_weights(rhs, weights))
-    k_qs = _k_qs(s, rhs_term, weights)
+    k_qs = _k_qs(s, rhs_term, WeightSpec() if gv is not None else weights)
     k_gv = _k_gv(s, gv, rhs_term, weights) if gv is not None else None
     k_eff = _k_eff(s, rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
     entry = _entry_term(s)

@@ -19,6 +19,19 @@ ENUMERATION_BUDGET = 22
 AUTO_ENUMERATION_LIMIT = 14
 
 
+def _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared) -> list[np.ndarray]:
+    """Weighted first-order solution-perturbation matrix per free parameter."""
+    N, M = len(dA_terms), len(dB_terms)
+    if len(e) != N or len(f) != M:
+        raise ValueError("weight vector length does not match derivative count")
+    Ainv = np.linalg.inv(np.asarray(A, dtype=float))
+    X = np.asarray(X, dtype=float)
+    T = [(-Ainv @ dA_terms[k] @ X + Ainv @ dB_terms[k]) * e[k] for k in range(n_shared)]
+    T += [-Ainv @ dA_terms[k] @ X * e[k] for k in range(n_shared, N)]
+    T += [Ainv @ dB_terms[k] * f[k] for k in range(n_shared, M)]
+    return T
+
+
 def linearized_sup_oracle(
     A: np.ndarray,
     X: np.ndarray,
@@ -42,29 +55,15 @@ def linearized_sup_oracle(
     (raising "enumeration budget exceeded" beyond it), False uses the
     entrywise absolute-sum evaluation alone.
     """
-    A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
     norm = float(np.max(np.abs(X)))
     if norm == 0.0:
         raise ValueError("zero solution")
-    Ainv = np.linalg.inv(A)
-    N, M = len(dA_terms), len(dB_terms)
-    if len(e) != N or len(f) != M:
-        raise ValueError("weight vector length does not match derivative count")
-    K = N + M - n_shared
+    T = _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared)
     if enumerate_signs == "auto":
-        enumerate_signs = K <= AUTO_ENUMERATION_LIMIT
-    elif enumerate_signs and K > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {K} > {ENUMERATION_BUDGET}")
-
-    # Weighted first-order solution-perturbation matrix per free parameter.
-    T = []
-    for k in range(n_shared):
-        T.append((-Ainv @ dA_terms[k] @ X + Ainv @ dB_terms[k]) * e[k])
-    for k in range(n_shared, N):
-        T.append(-Ainv @ dA_terms[k] @ X * e[k])
-    for k in range(n_shared, M):
-        T.append(Ainv @ dB_terms[k] * f[k])
+        enumerate_signs = len(T) <= AUTO_ENUMERATION_LIMIT
+    elif enumerate_signs and len(T) > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {len(T)} > {ENUMERATION_BUDGET}")
 
     entrywise = float(np.max(sum(np.abs(Tk) for Tk in T))) / norm if T else 0.0
     if not enumerate_signs or not T:
@@ -95,17 +94,7 @@ def worst_sign_pattern(
     n_shared: int = 0,
 ) -> np.ndarray:
     """Sign vector attaining the linearized sup, for planting into sampling."""
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Ainv = np.linalg.inv(A)
-    N, M = len(dA_terms), len(dB_terms)
-    T = []
-    for k in range(n_shared):
-        T.append((-Ainv @ dA_terms[k] @ X + Ainv @ dB_terms[k]) * e[k])
-    for k in range(n_shared, N):
-        T.append(-Ainv @ dA_terms[k] @ X * e[k])
-    for k in range(n_shared, M):
-        T.append(Ainv @ dB_terms[k] * f[k])
+    T = _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared)
     total = sum(np.abs(Tk) for Tk in T)
     i, j = np.unravel_index(np.argmax(total), total.shape)
     return np.array([1.0 if Tk[i, j] >= 0.0 else -1.0 for Tk in T])

@@ -153,18 +153,19 @@ def _fill_generators(d, p, a, q, g, b, h) -> np.ndarray:
     Entry (i, i-k) is ((p_i a_{i-1}) ... a_{i-k+1}) q_{i-k} and entry
     (i, i+k) is g_i (((h_{i+k} b_{i+k-1}) ... b_{i+1}): the running products
     are carried as vectors and multiplied in the order of a walk along the
-    row (lower) or column (upper), one factor per step.
+    row (lower) or column (upper), one factor per step.  Leading axes of the
+    vectors are batch axes: the result holds one matrix per batch entry.
     """
-    n = d.size
-    A = np.zeros((n, n))
-    flat = A.reshape(-1)
-    flat[:: n + 1] = d
+    n = d.shape[-1]
+    A = np.zeros(d.shape[:-1] + (n, n))
+    flat = A.reshape(d.shape[:-1] + (n * n,))
+    flat[..., :: n + 1] = d
     lower, upper = p, h
     for k in range(1, n):
-        flat[k * n :: n + 1] = lower * q[: n - k]
-        flat[k : (n - k) * n : n + 1] = g[: n - k] * upper
-        lower = lower[1:] * a[: n - k - 1]
-        upper = upper[1:] * b[: n - k - 1]
+        flat[..., k * n :: n + 1] = lower * q[..., : n - k]
+        flat[..., k : (n - k) * n : n + 1] = g[..., : n - k] * upper
+        lower = lower[..., 1:] * a[..., : n - k - 1]
+        upper = upper[..., 1:] * b[..., : n - k - 1]
     return A
 
 

@@ -1,10 +1,22 @@
 """Derivatives of quasiseparable matrices with respect to their parameters.
 
-Every parameter of either representation gets a ``DerivativeTerm`` holding
-the unweighted partial derivative of the matrix.  Derivatives are assembled
-from running monomial products rather than by dividing entries of the
-materialized matrix out, so they stay correct when individual parameters
-are zero.
+Every entry of a QS matrix is a monomial in the generators that contains
+each generator at most once (see ``qsrep._fill_generators``).  The matrix
+is therefore affine in every single generator ω, and
+
+    ∂A/∂ω = A(ω:=1) − A(ω:=0),        ω·∂A/∂ω = A − A(ω:=0).
+
+Both identities hold exactly in floating point for a finite A: a factor 1
+changes no product, and an entry off the parameter's support is computed
+by the same multiplications in both materializations, so it cancels to 0.
+The derivatives stay correct when parameters are zero, and the weighted
+form is a row, column or block of A itself, bit for bit.  All 7n−8
+substitutions are materialized in one batched sweep.
+
+The GV terms follow by the chain rule through ``gv_to_qs``: l_i moves
+(p_i, a_i) = (c_i, s_i), with dc/dl = −s c² and ds/dl = c³, and u_i moves
+(h_i, b_i) = (r_i, t_i) in the same way; v, d and w are q, d and g.
+Since l = s/c, the weighted l_i term is −s²·(p_i ∂A/∂p_i) + c²·(a_i ∂A/∂a_i).
 """
 
 from __future__ import annotations
@@ -13,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsrep import (
-    GvTangentParams,
-    QsParams,
-    gv_materialize,
-    gv_tangent_to_trig,
-    qs_materialize,
-    split_lower_diag_upper,
-)
+from .qsrep import GvTangentParams, QsParams, _fill_generators, gv_tangent_to_trig, gv_to_qs
+
+# One-based index of the first parameter of each family, in term order.
+_QS_FIRST = {"p": 2, "a": 2, "q": 1, "d": 1, "g": 1, "b": 2, "h": 2}
+_GV_FIRST = {"l": 2, "v": 1, "d": 1, "w": 1, "u": 2}
 
 
 @dataclass
@@ -42,319 +51,82 @@ class DerivativeTerm:
     matrix: np.ndarray
 
 
-def _lower_row_profile(qs: QsParams, i: int) -> np.ndarray:
-    """Row i (one-based) of the lower part with the p_i factor removed.
+def _qs_core(qs: QsParams, weighted: bool) -> dict[str, np.ndarray]:
+    """Derivative matrices of every QS family, one (count, n, n) stack each.
 
-    Entry j (one-based, j < i) is a_{i-1} * ... * a_{j+1} * q_j.
+    Batch row k substitutes generator k once by ``hi`` and once by 0; the
+    difference of the two materializations is term k.  ``hi`` is 1, or the
+    generator itself in weighted form, where d stays unweighted.
     """
-    n = qs.n
-    out = np.zeros(n)
-    val = 1.0
-    for j in range(i - 2, -1, -1):  # zero-based column
-        out[j] = val * qs.q[j]
-        if j >= 1:
-            val *= qs.a[j - 1]
-    return out
+    omega = qs.flat()
+    K = omega.size
+    cuts = np.cumsum([getattr(qs, f).size for f in _QS_FIRST])[:-1]
+    hi = omega.copy() if weighted else np.ones(K)
+    hi[cuts[2] : cuts[3]] = 1.0  # the d block
+    batch = np.tile(omega, (2, K, 1))
+    k = np.arange(K)
+    batch[0, k, k] = hi
+    batch[1, k, k] = 0.0
+    gen = dict(zip(_QS_FIRST, np.split(batch, cuts, axis=-1)))
+    A = _fill_generators(*(gen[f] for f in "dpaqgbh"))
+    return dict(zip(_QS_FIRST, np.split(A[0] - A[1], cuts)))
 
 
-def _lower_col_profile(qs: QsParams, j: int) -> np.ndarray:
-    """Column j (one-based) of the lower part with the q_j factor removed.
-
-    Entry i (one-based, i > j) is p_i * a_{i-1} * ... * a_{j+1}.
-    """
-    n = qs.n
-    out = np.zeros(n)
-    val = 1.0
-    for i in range(j, n):  # zero-based row
-        out[i] = qs.p[i - 1] * val
-        if i < n - 1:
-            val *= qs.a[i - 1]
-    return out
-
-
-def _upper_col_profile(qs: QsParams, j: int) -> np.ndarray:
-    """Column j (one-based) of the upper part with the h_j factor removed.
-
-    Entry i (one-based, i < j) is g_i * b_{i+1} * ... * b_{j-1}.
-    """
-    n = qs.n
-    out = np.zeros(n)
-    val = 1.0
-    for i in range(j - 2, -1, -1):
-        out[i] = qs.g[i] * val
-        if i >= 1:
-            val *= qs.b[i - 1]
-    return out
+def _gv_core(gv: GvTangentParams, weighted: bool) -> dict[str, np.ndarray]:
+    """GV derivative stacks by the chain rule through the embedded QS terms."""
+    D = _qs_core(gv_to_qs(gv), weighted)
+    trig = gv_tangent_to_trig(gv)
+    c, s, r, t = (x[:, None, None] for x in (trig.c, trig.s, trig.r, trig.t))
+    m = gv.n - 2
+    if weighted:
+        (lp, la), (uh, ub) = (-(s**2), c**2), (-(t**2), r**2)
+    else:
+        (lp, la), (uh, ub) = (-s * c**2, c**3), (-t * r**2, r**3)
+    return {
+        "l": lp * D["p"][:m] + la * D["a"],
+        "v": D["q"],
+        "d": D["d"],
+        "w": D["g"],
+        "u": uh * D["h"][:m] + ub * D["b"],
+    }
 
 
-def _upper_row_profile(qs: QsParams, i: int) -> np.ndarray:
-    """Row i (one-based) of the upper part with the g_i factor removed.
-
-    Entry j (one-based, j > i) is b_{i+1} * ... * b_{j-1} * h_j.
-    """
-    n = qs.n
-    out = np.zeros(n)
-    val = 1.0
-    for j in range(i, n):
-        out[j] = val * qs.h[j - 1]
-        if j < n - 1:
-            val *= qs.b[j - 1]
-    return out
+def _terms(params, first: dict[str, int], mats: dict[str, np.ndarray]) -> list[DerivativeTerm]:
+    return [
+        DerivativeTerm(f, first[f] + j, value, M)
+        for f in first
+        for j, (value, M) in enumerate(zip(getattr(params, f), mats[f]))
+    ]
 
 
 def qs_derivatives(qs: QsParams) -> list[DerivativeTerm]:
     """All 7n-8 partial derivatives of the generator representation."""
-    n = qs.n
-    terms: list[DerivativeTerm] = []
-
-    for i in range(2, n + 1):  # p_i: row i picks up the rest of its monomial
-        dA = np.zeros((n, n))
-        dA[i - 1, :] = _lower_row_profile(qs, i)
-        terms.append(DerivativeTerm("p", i, qs.p[i - 2], dA))
-
-    for i in range(2, n):  # a_i: rank-one block over rows i+1..n, cols 1..i-1
-        u = np.zeros(n)
-        val = 1.0
-        for r in range(i, n):  # zero-based rows i..n-1 (one-based i+1..n)
-            u[r] = qs.p[r - 1] * val
-            if r < n - 1:
-                val *= qs.a[r - 1]
-        w = np.zeros(n)
-        val = 1.0
-        for c in range(i - 2, -1, -1):
-            w[c] = val * qs.q[c]
-            if c >= 1:
-                val *= qs.a[c - 1]
-        terms.append(DerivativeTerm("a", i, qs.a[i - 2], np.outer(u, w)))
-
-    for j in range(1, n):  # q_j: column j
-        dA = np.zeros((n, n))
-        dA[:, j - 1] = _lower_col_profile(qs, j)
-        terms.append(DerivativeTerm("q", j, qs.q[j - 1], dA))
-
-    for i in range(1, n + 1):  # d_i
-        dA = np.zeros((n, n))
-        dA[i - 1, i - 1] = 1.0
-        terms.append(DerivativeTerm("d", i, qs.d[i - 1], dA))
-
-    for i in range(1, n):  # g_i: row i of the upper part
-        dA = np.zeros((n, n))
-        dA[i - 1, :] = _upper_row_profile(qs, i)
-        terms.append(DerivativeTerm("g", i, qs.g[i - 1], dA))
-
-    for i in range(2, n):  # b_i: rank-one block over rows 1..i-1, cols i+1..n
-        u = np.zeros(n)
-        val = 1.0
-        for r in range(i - 2, -1, -1):
-            u[r] = qs.g[r] * val
-            if r >= 1:
-                val *= qs.b[r - 1]
-        w = np.zeros(n)
-        val = 1.0
-        for c in range(i, n):
-            w[c] = val * qs.h[c - 1]
-            if c < n - 1:
-                val *= qs.b[c - 1]
-        terms.append(DerivativeTerm("b", i, qs.b[i - 2], np.outer(u, w)))
-
-    for j in range(2, n + 1):  # h_j: column j of the upper part
-        dA = np.zeros((n, n))
-        dA[:, j - 1] = _upper_col_profile(qs, j)
-        terms.append(DerivativeTerm("h", j, qs.h[j - 2], dA))
-
-    return terms
+    return _terms(qs, _QS_FIRST, _qs_core(qs, weighted=False))
 
 
 def gv_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
-    """All 5n-6 partial derivatives of the tangent GV representation.
-
-    Uses dc/dl = -s c^2 and ds/dl = c^3 (and the analogous identities for
-    r, t as functions of u).  The l_i derivative splits into a row-i part,
-    where only the head cosine depends on l_i, and a rank-one block part
-    for rows below i, where the sine appears once in each monomial.
-    """
-    n = gv.n
-    trig = gv_tangent_to_trig(gv)
-    c, s, v, d, w, r, t = trig.c, trig.s, trig.v, trig.d, trig.w, trig.r, trig.t
-    terms: list[DerivativeTerm] = []
-
-    for i in range(2, n):  # l_i, zero-based tangent index i-2
-        ci, si = c[i - 2], s[i - 2]
-        dA = np.zeros((n, n))
-        # row i: entry is c_i * (monomial without c_i); d(c_i)/dl = -s c^2
-        row = np.zeros(n)
-        val = 1.0
-        for j in range(i - 2, -1, -1):
-            row[j] = val * v[j]
-            if j >= 1:
-                val *= s[j - 1]
-        dA[i - 1, :] = (-si * ci**2) * row
-        # rows i+1..n: s_i appears once; replace it by c_i^3
-        col_head = np.zeros(n)
-        val = 1.0
-        for rr in range(i, n):
-            col_head[rr] = (c[rr - 1] if rr < n - 1 else 1.0) * val
-            if rr < n - 1:
-                val *= s[rr - 1]
-        row_tail = np.zeros(n)
-        val = 1.0
-        for j in range(i - 2, -1, -1):
-            row_tail[j] = val * v[j]
-            if j >= 1:
-                val *= s[j - 1]
-        dA += (ci**3) * np.outer(col_head, row_tail)
-        terms.append(DerivativeTerm("l", i, gv.l[i - 2], dA))
-
-    for j in range(1, n):  # v_j: column j of the lower part
-        dA = np.zeros((n, n))
-        val = 1.0
-        for i in range(j, n):
-            dA[i, j - 1] = (c[i - 1] if i < n - 1 else 1.0) * val
-            if i < n - 1:
-                val *= s[i - 1]
-        terms.append(DerivativeTerm("v", j, gv.v[j - 1], dA))
-
-    for i in range(1, n + 1):  # d_i
-        dA = np.zeros((n, n))
-        dA[i - 1, i - 1] = 1.0
-        terms.append(DerivativeTerm("d", i, gv.d[i - 1], dA))
-
-    for j in range(1, n):  # w_j: row j of the upper part
-        dA = np.zeros((n, n))
-        val = 1.0
-        for i in range(j, n):
-            dA[j - 1, i] = (r[i - 1] if i < n - 1 else 1.0) * val
-            if i < n - 1:
-                val *= t[i - 1]
-        terms.append(DerivativeTerm("w", j, gv.w[j - 1], dA))
-
-    for i in range(2, n):  # u_i
-        ri, ti = r[i - 2], t[i - 2]
-        dA = np.zeros((n, n))
-        # column i: head factor r_i; d(r_i)/du = -t r^2
-        col = np.zeros(n)
-        val = 1.0
-        for j in range(i - 2, -1, -1):
-            col[j] = w[j] * val
-            if j >= 1:
-                val *= t[j - 1]
-        dA[:, i - 1] = (-ti * ri**2) * col
-        # columns i+1..n: t_i appears once; replace it by r_i^3
-        row_head = np.zeros(n)
-        val = 1.0
-        for j in range(i - 2, -1, -1):
-            row_head[j] = w[j] * val
-            if j >= 1:
-                val *= t[j - 1]
-        col_tail = np.zeros(n)
-        val = 1.0
-        for cc in range(i, n):
-            col_tail[cc] = (r[cc - 1] if cc < n - 1 else 1.0) * val
-            if cc < n - 1:
-                val *= t[cc - 1]
-        dA += (ri**3) * np.outer(row_head, col_tail)
-        terms.append(DerivativeTerm("u", i, gv.u[i - 2], dA))
-
-    return terms
+    """All 5n-6 partial derivatives of the tangent GV representation."""
+    return _terms(gv, _GV_FIRST, _gv_core(gv, weighted=False))
 
 
 def qs_weighted_derivatives(qs: QsParams) -> list[DerivativeTerm]:
-    """Weighted derivative terms omega * dA/domega, built from blocks of A.
+    """Weighted derivative terms omega * dA/domega, equal to blocks of A.
 
     The d-terms carry the plain unit matrices e_i e_i^T; every other term
     is the parameter-weighted derivative, which equals a row, column, or
     contiguous block of the materialized matrix.
     """
-    n = qs.n
-    A = qs_materialize(qs)
-    AL, _, AU = split_lower_diag_upper(A)
-    terms: list[DerivativeTerm] = []
-    for i in range(2, n + 1):
-        M = np.zeros((n, n))
-        M[i - 1, :] = AL[i - 1, :]
-        terms.append(DerivativeTerm("p", i, qs.p[i - 2], M))
-    for i in range(2, n):
-        M = np.zeros((n, n))
-        M[i:, : i - 1] = A[i:, : i - 1]
-        terms.append(DerivativeTerm("a", i, qs.a[i - 2], M))
-    for j in range(1, n):
-        M = np.zeros((n, n))
-        M[:, j - 1] = AL[:, j - 1]
-        terms.append(DerivativeTerm("q", j, qs.q[j - 1], M))
-    for i in range(1, n + 1):
-        M = np.zeros((n, n))
-        M[i - 1, i - 1] = 1.0
-        terms.append(DerivativeTerm("d", i, qs.d[i - 1], M))
-    for i in range(1, n):
-        M = np.zeros((n, n))
-        M[i - 1, :] = AU[i - 1, :]
-        terms.append(DerivativeTerm("g", i, qs.g[i - 1], M))
-    for i in range(2, n):
-        M = np.zeros((n, n))
-        M[: i - 1, i:] = A[: i - 1, i:]
-        terms.append(DerivativeTerm("b", i, qs.b[i - 2], M))
-    for j in range(2, n + 1):
-        M = np.zeros((n, n))
-        M[:, j - 1] = AU[:, j - 1]
-        terms.append(DerivativeTerm("h", j, qs.h[j - 2], M))
-    return terms
-
-
-def gv_u_weighted_variants(gv: GvTangentParams, i: int) -> dict[str, np.ndarray]:
-    """Both candidate forms of the weighted u_i term, for adjudication.
-
-    "column" places the -t_i^2 factor on column i of A only (plus the
-    r_i^2 trailing block); "block" applies -t_i^2 to the whole trailing
-    block A(1:i-1, i+1:n) instead of the single column.  Finite
-    differences confirm the column form.
-    """
-    n = gv.n
-    A = gv_materialize(gv)
-    trig = gv_tangent_to_trig(gv)
-    ti, ri = trig.t[i - 2], trig.r[i - 2]
-    col = np.zeros((n, n))
-    col[: i - 1, i - 1] = -(ti**2) * A[: i - 1, i - 1]
-    col[: i - 1, i:] = ri**2 * A[: i - 1, i:]
-    blk = np.zeros((n, n))
-    blk[: i - 1, i:] = -(ti**2) * A[: i - 1, i:] + ri**2 * A[: i - 1, i:]
-    return {"column": col, "block": blk}
+    return _terms(qs, _QS_FIRST, _qs_core(qs, weighted=True))
 
 
 def gv_weighted_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
     """Weighted derivative terms for the tangent GV representation.
 
-    The l_i term combines the -s_i^2 row and c_i^2 block of A; the u_i
-    term uses the column form (see :func:`gv_u_weighted_variants`); d, v,
-    w reuse the diagonal / column / row forms of the QS family.
+    The l_i term combines the -s_i^2 row and the c_i^2 block of A, the u_i
+    term the -t_i^2 column and the r_i^2 block; d, v, w are the diagonal,
+    column and row terms of the QS family.
     """
-    n = gv.n
-    A = gv_materialize(gv)
-    AL, _, AU = split_lower_diag_upper(A)
-    trig = gv_tangent_to_trig(gv)
-    terms: list[DerivativeTerm] = []
-    for i in range(2, n):
-        si, ci = trig.s[i - 2], trig.c[i - 2]
-        M = np.zeros((n, n))
-        M[i - 1, : i - 1] = -(si**2) * A[i - 1, : i - 1]
-        M[i:, : i - 1] = ci**2 * A[i:, : i - 1]
-        terms.append(DerivativeTerm("l", i, gv.l[i - 2], M))
-    for j in range(1, n):
-        M = np.zeros((n, n))
-        M[:, j - 1] = AL[:, j - 1]
-        terms.append(DerivativeTerm("v", j, gv.v[j - 1], M))
-    for i in range(1, n + 1):
-        M = np.zeros((n, n))
-        M[i - 1, i - 1] = 1.0
-        terms.append(DerivativeTerm("d", i, gv.d[i - 1], M))
-    for j in range(1, n):
-        M = np.zeros((n, n))
-        M[j - 1, :] = AU[j - 1, :]
-        terms.append(DerivativeTerm("w", j, gv.w[j - 1], M))
-    for i in range(2, n):
-        terms.append(
-            DerivativeTerm("u", i, gv.u[i - 2], gv_u_weighted_variants(gv, i)["column"])
-        )
-    return terms
+    return _terms(gv, _GV_FIRST, _gv_core(gv, weighted=True))
 
 
 def natural_term_weights(terms: list[DerivativeTerm]) -> list[float]:

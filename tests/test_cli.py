@@ -93,6 +93,29 @@ class TestCond:
         assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
         assert "weights must be nonnegative" in capsys.readouterr().err
 
+    def test_gv_weights_file(self, tmp_path, capsys):
+        """GV-family weights equal to the natural ones give the natural output."""
+        rng = np.random.default_rng(3)
+        gv = {"n": 6, **{f: rng.standard_normal(k).tolist() for f, k in
+                         (("l", 4), ("v", 5), ("d", 6), ("w", 5), ("u", 4))}}
+        B = rng.standard_normal((6, 2))
+        sparse = {"n": 6, "m": 2, "terms": [{"i": 2, "j": 1, "omega": -1.5},
+                                            {"i": 5, "j": 2, "omega": 0.5}]}
+        gv_path = write(tmp_path, "gv.json", json.dumps(gv))
+        e = {f: np.abs(gv[f]).tolist() for f in "lvdwu"}
+        for k, (rhs_doc, rhs_weights) in enumerate((
+            (B.tolist(), {"F": np.abs(B).tolist()}),
+            (sparse, {"f": [1.5, 0.5]}),
+        )):
+            rhs = write(tmp_path, f"rhs{k}.json", json.dumps(rhs_doc))
+            wfile = write(tmp_path, f"w{k}.json", json.dumps({"e": e, **rhs_weights}))
+            outputs = []
+            for extra in ([], ["--weights", wfile]):
+                assert main(["cond", gv_path, rhs, "--json", *extra]) == 0
+                outputs.append(json.loads(capsys.readouterr().out))
+            assert outputs[0] == outputs[1]
+            assert "k_gv" in outputs[0] and "k_qs" in outputs[0]
+
     def test_dense_matrix_input(self, tmp_path, capsys):
         A = write(tmp_path, "A.csv", "2.0,1.0\n1.0,2.0")
         rhs = write(tmp_path, "B.csv", "1.0\n1.0")

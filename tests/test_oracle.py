@@ -48,6 +48,13 @@ class TestLinearizedOracle:
         # auto mode silently falls back to the entrywise evaluation
         assert np.isfinite(linearized_sup_oracle(A, X, dA, [1.0] * 23))
 
+    def test_weight_length_checked_by_both_evaluations(self):
+        X = np.ones((2, 1))
+        for e in ([1.0, 1.0, 5.0], [1.0]):
+            for evaluate in (linearized_sup_oracle, worst_sign_pattern):
+                with pytest.raises(ValueError, match="weight vector length"):
+                    evaluate(np.eye(2), X, [np.eye(2)] * 2, e)
+
     def test_zero_solution_error(self):
         with pytest.raises(ValueError, match="zero solution"):
             linearized_sup_oracle(np.eye(2), np.zeros((2, 1)))

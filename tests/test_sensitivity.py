@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscond import (
     gv_derivatives,
     gv_materialize,
+    gv_tangent_to_trig,
     gv_weighted_derivatives,
     qs_derivatives,
     qs_materialize,
     qs_weighted_derivatives,
     solution_directional_derivative,
 )
-from qscond.sensitivity import gv_u_weighted_variants
 
 from conftest import make_gv, make_qs
 
@@ -128,17 +130,6 @@ class TestGvDerivatives:
         expected[2:, :1] = A[2:, :1]
         np.testing.assert_allclose(term.matrix, expected, atol=1e-14)
 
-    def test_u_variant_adjudication(self, rng):
-        """The column form matches finite differences; the block form does not."""
-        gv = make_gv(5, rng)
-        i = 3
-        variants = gv_u_weighted_variants(gv, i)
-        fd = fd_matrix(gv, "u", i, GV_OFFSET["u"], gv_materialize)
-        weighted_fd = gv.u[i - 2] * fd
-        scale = max(np.max(np.abs(weighted_fd)), 1.0)
-        assert np.max(np.abs(variants["column"] - weighted_fd)) <= 1e-6 * scale
-        assert np.max(np.abs(variants["block"] - weighted_fd)) > 1e-3 * scale
-
     def test_u2_structure_n4(self, rng):
         gv = make_gv(4, rng)
         from qscond import gv_tangent_to_trig
@@ -150,6 +141,86 @@ class TestGvDerivatives:
         expected[:1, 1] = -trig.t[0] ** 2 * A[:1, 1]
         expected[:1, 2:] = trig.r[0] ** 2 * A[:1, 2:]
         np.testing.assert_allclose(term.matrix, expected, atol=1e-14)
+
+
+def support(family, i, n):
+    """(head, block) masks of a weighted term: the row or column that holds
+    the parameter's own factor, and the block below or right of it that
+    holds the transfer coefficient (QS a/b, GV l/u) or nothing."""
+    head, block = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    if family in ("p", "l"):
+        head[i - 1, : i - 1] = True
+    if family in ("a", "l"):
+        block[i:, : i - 1] = True
+    if family in ("q", "v"):
+        head[i:, i - 1] = True
+    if family in ("g", "w"):
+        head[i - 1, i:] = True
+    if family in ("h", "u"):
+        head[: i - 1, i - 1] = True
+    if family in ("b", "u"):
+        block[: i - 1, i:] = True
+    return head, block
+
+
+@st.composite
+def params_with_zeros(draw, gv):
+    """Random QS or GV parameters with a random subset set exactly to 0."""
+    n = draw(st.integers(3 if gv else 2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = make_gv(n, rng) if gv else make_qs(n, rng)
+    share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    for f in ("lvdwu" if gv else "paqdgbh"):
+        vec = getattr(params, f)
+        vec[rng.random(vec.size) < share] = 0.0
+    return params
+
+
+class TestZeroParameters:
+    """Exact derivatives when any subset of the parameters is zero."""
+
+    def check(self, params, unweighted, weighted, materialize, offsets, coefs):
+        n = params.n
+        A = materialize(params)
+        for tu, tw in zip(unweighted(params), weighted(params)):
+            assert (tu.family, tu.index, tu.value) == (tw.family, tw.index, tw.value)
+            fd = fd_matrix(params, tu.family, tu.index, offsets[tu.family], materialize)
+            scale = max(np.max(np.abs(fd)), 1.0)
+            assert np.max(np.abs(tu.matrix - fd)) <= 1e-6 * scale, (tu.family, tu.index)
+            if tu.family == "d":
+                unit = np.zeros((n, n))
+                unit[tu.index - 1, tu.index - 1] = 1.0
+                np.testing.assert_array_equal(tu.matrix, unit)
+                np.testing.assert_array_equal(tw.matrix, unit)
+                continue
+            np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, rtol=1e-12, atol=1e-13)
+            head, block = support(tu.family, tu.index, n)
+            ch, cb = coefs(tu.family, tu.index)
+            expected = np.where(head, ch * A, 0.0) + np.where(block, cb * A, 0.0)
+            np.testing.assert_array_equal(tw.matrix, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params_with_zeros(gv=False))
+    def test_qs(self, qs):
+        self.check(
+            qs, qs_derivatives, qs_weighted_derivatives, qs_materialize, QS_OFFSET,
+            lambda family, i: (1.0, 1.0),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(params_with_zeros(gv=True))
+    def test_gv(self, gv):
+        trig = gv_tangent_to_trig(gv)
+        s2, c2, t2, r2 = (x**2 for x in (trig.s, trig.c, trig.t, trig.r))
+
+        def coefs(family, i):
+            if family == "l":
+                return -s2[i - 2], c2[i - 2]
+            if family == "u":
+                return -t2[i - 2], r2[i - 2]
+            return 1.0, 1.0
+
+        self.check(gv, gv_derivatives, gv_weighted_derivatives, gv_materialize, GV_OFFSET, coefs)
 
 
 class TestSolutionDerivative:
