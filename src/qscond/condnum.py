@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .qsrep import (
     GvTangentParams,
@@ -161,21 +162,12 @@ def _mx(M: np.ndarray) -> float:
 def matrix_inverse(A: np.ndarray) -> np.ndarray:
     """Dense inverse via LU with partial pivoting; rejects singular input.
 
-    The matrix is first equilibrated by iterated two-sided diagonal
-    scaling (Ruiz iteration on max-norms), the scaled copy is factored,
-    and the scalings are undone on the inverse.  The experiment
-    generator deliberately produces matrices whose entries span dozens
-    of orders of magnitude; their ill-conditioning is largely diagonal
-    scaling, so factoring the equilibrated copy keeps the inverse
-    accurate enough for the condition-number quotients while computing
-    exactly the same mathematical object.
-
-    Singularity is flagged structurally: a zero row or column, an
-    exactly zero pivot, or nonfinite entries in the factorization or
-    inverse.  A magnitude threshold on pivots is deliberately avoided
-    because the ill-scaled experiment matrices sit far beyond any
-    eps-relative cutoff while exactly singular inputs still produce
-    zero pivots.
+    Only the dense API uses it.  The matrix is first equilibrated by
+    iterated two-sided diagonal scaling (Ruiz iteration on max-norms), the
+    scaled copy is factored, and the scalings are undone on the inverse.
+    Singularity is flagged structurally: a zero row or column, an exactly
+    zero pivot, or nonfinite entries in the factorization or inverse, not
+    by a pivot-magnitude threshold, which badly scaled input would trip.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -215,78 +207,110 @@ def _check_x(X: np.ndarray) -> float:
 
 
 class _System:
-    """A X = B prepared once per call: A, its equilibrated inverse and X.
-
-    Every condition number of one call reads from one instance, so A is
-    factored once.  An omitted X is solved from B after the inverse has
-    checked A for singularity.  The products of the strictly lower and
-    upper parts, and of the transfer profiles of the generators ``qs`` of
-    A, are computed on first use.
+    """A and X prepared once per call of the dense API: A, its equilibrated
+    inverse and the given X.  Every number of one call reads from it.
     """
 
-    def __init__(self, A, X=None, B=None, qs: QsParams | None = None):
-        self.A, self.qs = np.asarray(A, dtype=float), qs
-        if X is not None:
-            _check_x(np.asarray(X, dtype=float))
-        self.Ainv = matrix_inverse(self.A)
-        self.X = np.linalg.solve(self.A, B) if X is None else np.asarray(X, dtype=float)
+    def __init__(self, A, X):
+        self.A = np.asarray(A, dtype=float)
+        self.X = np.asarray(X, dtype=float)
         self.norm = _check_x(self.X)
+        self.Ainv = matrix_inverse(self.A)
         self.absAinv, self.absX = np.abs(self.Ainv), np.abs(self.X)
-        self._parts = self._transfer = None
 
     def k(self, total: np.ndarray) -> float:
         return _mx(total) / self.norm
 
-    def parts(self):
-        """(|A_L X|, |A_U X|, |A⁻¹ A_L|, |A⁻¹ A_U|)."""
-        if self._parts is None:
-            AL, AU = np.tril(self.A, -1), np.triu(self.A, 1)
-            products = (AL @ self.X, AU @ self.X, self.Ainv @ AL, self.Ainv @ AU)
-            self._parts = tuple(np.abs(M, out=M) for M in products)
-        return self._parts
 
-    def transfer(self):
-        """(A⁻¹ Lcol, Lrow X, A⁻¹ Ucol, Urow X), one column/row per transfer index.
-
-        The a_i block of A is a_i Lcol_i Lrow_iᵀ and the b_i block
-        Ucol_i b_i Urow_iᵀ (see :func:`_profiles`).
-        """
-        if self._transfer is None:
-            lcol, lrow = _profiles(self.qs.p, self.qs.a, self.qs.q)
-            urow, ucol = _profiles(self.qs.h, self.qs.b, self.qs.g)
-            self._transfer = (self.Ainv @ lcol.T, lrow @ self.X, self.Ainv @ ucol.T, urow @ self.X)
-        return self._transfer
+# Where each QS generator family sits in the generator system E: the
+# (row, column) of its first generator and the sign it enters with.  The
+# k-th generator of a family sits 3k rows and columns further on.
+_PLACE = {"d": (1, 1, 1.0), "p": (4, 3, 1.0), "g": (1, 2, 1.0), "q": (3, 1, -1.0),
+          "a": (6, 3, -1.0), "h": (2, 4, -1.0), "b": (2, 5, -1.0)}
+_BAND = 3  # sub- and superdiagonals of E
 
 
-def _profiles(p: np.ndarray, a: np.ndarray, q: np.ndarray):
-    """Rank-one factors of the transfer blocks of the lower part (p, a, q).
+class _Embedded:
+    """A X = B as one banded system E S = [B; 0; 0] over the generators of A.
 
-    Zero-based, the block of the one-based transfer index i covers rows
-    r >= i and columns c <= i-2 and equals a_i Lcol_i Lrow_iᵀ, with
-    Lcol_i[r] = p[r-1] a[i-1] ... a[r-2] and Lrow_i[c] = a[c] ... a[i-3] q[c].
-    Returns (Lcol, Lrow) as (n-2) x n arrays, row k for i = k + 2.  The
-    upper part is the lower part of Aᵀ, so (h, b, g) gives (Urow, Ucol).
+    The unknowns of index r are z_r, x_r and y_r, at rows 3r, 3r+1 and
+    3r+2, and the rows are the two sweeps of :func:`qs_matvec`:
+
+        x-row  d x + p z + g y = B
+        z-row  z - a z_prev - q x_prev = 0
+        y-row  y - b y_next - h x_next = 0
+
+    Eliminating z and y gives back A X = B, so det E = det A.  E has three
+    sub- and superdiagonals and is factored once.  Every generator ω is one
+    entry (R, C) = ±ω of E, so ω ∂X/∂ω = ∓ω G[:, R] S[C] with G the x rows
+    of E⁻¹, and G[:, 1::3] = A⁻¹.
+
+    Given X, z and y follow from the sweeps.  Otherwise S is solved with
+    one step of refinement and refused when its componentwise backward
+    error max|E S - R| / (|E||S| + |R|) exceeds 1e-8.
     """
-    n = p.size + 1
-    col, row = np.zeros((2, max(n - 2, 0), n))
-    for k in range(n - 2):
-        j = n - 3 - k
-        if k > 0:
-            row[k] = row[k - 1] * a[k - 1]
-            col[j] = col[j + 1] * a[j + 1]
-        row[k, k], col[j, j + 2] = q[k], p[j + 1]
-    return col, row
 
+    def __init__(self, qs: QsParams, X=None, B=None):
+        n, self.qs = qs.n, qs
+        self.entries = [(r, c, sign * getattr(qs, f)) for f, (r, c, sign) in _PLACE.items()]
+        ab = np.zeros((3 * _BAND + 1, 3 * n))  # E[i, j] at ab[2 * _BAND + i - j, j]
+        ab[2 * _BAND, 0::3] = ab[2 * _BAND, 2::3] = 1.0
+        for r, c, v in self.entries:
+            ab[2 * _BAND + r - c, c::3][: v.size] = v
+        lu, piv, info = dgbtrf(ab, _BAND, _BAND)
+        if info > 0:
+            raise ValueError("singular coefficient matrix")
+        unit = np.zeros((3 * n, n))
+        unit[1::3] = np.eye(n)
+        self.G = dgbtrs(lu, _BAND, _BAND, unit, piv, trans=1)[0].T
+        if not np.all(np.isfinite(self.G)):
+            raise ArithmeticError("the inverse of the generator system overflows")
+        if X is None:  # one refinement step, then the backward-error gate
+            R = np.zeros((3 * n, np.shape(B)[1]))
+            R[1::3] = B
+            S = dgbtrs(lu, _BAND, _BAND, R, piv)[0]
+            S += dgbtrs(lu, _BAND, _BAND, R - self._times(S), piv)[0]
+            scale = self._times(np.abs(S), absolute=True) + np.abs(R)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                berr = np.max(np.abs(self._times(S) - R) / scale, initial=0.0, where=scale != 0.0)
+            if not berr <= 1e-8:
+                raise ArithmeticError(f"backward error {berr:.3e} of the generator solve exceeds 1e-8")
+        else:  # z and y from X by the sweeps of qs_matvec
+            X = np.asarray(X, dtype=float)
+            S = np.zeros((3 * n, X.shape[1]))
+            S[1::3] = X
+            z, y = S[0::3], S[2::3]
+            a, b = np.append(0.0, qs.a), np.append(qs.b, 0.0)
+            for r in range(1, n):
+                z[r] = a[r - 1] * z[r - 1] + qs.q[r - 1] * X[r - 1]
+            for r in range(n - 2, -1, -1):
+                y[r] = b[r] * y[r + 1] + qs.h[r] * X[r + 1]
+            if not np.all(np.isfinite(S)):
+                raise ArithmeticError("the generator sweeps overflow for the given X")
+        self.S, self.absS = S, np.abs(S)
+        self.X, self.absX = S[1::3], self.absS[1::3]
+        self.norm = _check_x(self.X)
+        self.absG = np.abs(self.G)
+        self.Ainv, self.absAinv = self.G[:, 1::3], np.ascontiguousarray(self.absG[:, 1::3])
 
-def _rank_one_sum(Y: np.ndarray, w: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Σ_i w_i |y_i| |z_i|ᵀ = |Y| diag(w) |Z|, that is Σ_i w_i |A⁻¹ y_i z_iᵀ X|
-    for Y = A⁻¹[y_i] and Z = [z_iᵀ] X.  A zero weight contributes exactly 0,
-    even against a non-finite factor.
-    """
-    left, right, skip = np.abs(Y), np.abs(Z), w == 0.0
-    left *= w
-    left[:, skip] = right[skip] = 0.0
-    return left @ right
+    def _times(self, S: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """E S, or |E| S with ``absolute``."""
+        out = S.copy()
+        out[1::3] = 0.0
+        for r, c, v in self.entries:
+            out[r::3][: v.size] += (np.abs(v) if absolute else v)[:, None] * S[c::3][: v.size]
+        return out
+
+    def place(self, w: dict[str, np.ndarray]) -> np.ndarray:
+        """W|S|: row R_k holds w_k |S[C_k]| summed over the families in ``w``."""
+        M = np.zeros_like(self.S)
+        for f, wf in w.items():
+            r, c, _ = _PLACE[f]
+            M[r::3][: wf.size] += wf[:, None] * self.absS[c::3][: wf.size]
+        return M
+
+    def k(self, total: np.ndarray) -> float:
+        return _mx(total) / self.norm
 
 
 def _ratios(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
@@ -312,17 +336,17 @@ def _ratios(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
     return out
 
 
-def _row_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
-    """The weight diagonal D_family: the ratios padded with a 1 in the row
-    the family never reaches (the first for p and h, the last otherwise).
+def _family_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
+    """w_k of the terms |G[:, R_k]| w_k |S[C_k]|: |omega_k| times its ratio.
+
+    Explicit d weights are taken as given, zero diagonal entries included.
     """
-    if family == "d":
-        e = np.abs(params) if weights.natural else weights.e.get("d")
-        if e is None:
-            raise ValueError("explicit weights missing for parameter family 'd'")
-        return np.asarray(e, dtype=float)
-    r = _ratios(weights, params, family)
-    return np.concatenate(([1.0], r) if family in "ph" else (r, [1.0]))
+    if family != "d" or weights.natural:
+        return np.abs(params) * _ratios(weights, params, family)
+    e = weights.e.get("d")
+    if e is None or np.shape(e) != params.shape:
+        raise ValueError("explicit weights for parameter family 'd' missing or of wrong length")
+    return np.asarray(e, dtype=float)
 
 
 def _rhs_weights(rhs, weights: WeightSpec):
@@ -342,7 +366,7 @@ def _rhs_weights(rhs, weights: WeightSpec):
     return np.asarray(F, dtype=float)
 
 
-def _rhs_term(s: _System, rhs, f) -> np.ndarray:
+def _rhs_term(s, rhs, f) -> np.ndarray:
     """The RHS contribution: Σ_k |A⁻¹ S_k| f_k, or |A⁻¹| F for dense B.
 
     When every pattern has exactly one nonzero the sparse sum is |A⁻¹| F
@@ -355,64 +379,42 @@ def _rhs_term(s: _System, rhs, f) -> np.ndarray:
         np.add.at(F, np.array([S.argmax() for S, _ in rhs.terms], dtype=np.intp), f)
         return s.absAinv @ F.reshape(rhs.n, rhs.m)
     terms = (np.abs(s.Ainv @ S) * fk for (S, _), fk in zip(rhs.terms, f))
-    return sum(terms, np.zeros((s.A.shape[0], rhs.m)))
+    return sum(terms, np.zeros((s.X.shape[0], rhs.m)))
 
 
-def _entry_term(s: _System, E=None) -> np.ndarray:
+def _entry_term(s, E=None) -> np.ndarray:
     """|A⁻¹| E |X|, entrywise perturbations of A (E defaults to |A|)."""
     E = np.abs(s.A) if E is None else np.asarray(E, dtype=float)
     return s.absAinv @ (E @ s.absX)
 
 
-def _generator_terms(s: _System, Dd, Dp, Dq, Dg, Dh) -> np.ndarray:
-    """|A⁻¹|(D_d|X| + D_p|A_L X| + D_g|A_U X|) + |A⁻¹A_L| D_q|X| + |A⁻¹A_U| D_h|X|;
-    the GV form has no p and h families and passes None for them.
-    """
-    ALX, AUX, AinvAL, AinvAU = s.parts()
-    inner = Dd[:, None] * s.absX + Dg[:, None] * AUX
-    if Dp is not None:
-        inner += Dp[:, None] * ALX
-    total = s.absAinv @ inner + AinvAL @ (Dq[:, None] * s.absX)
-    if Dh is not None:
-        total += AinvAU @ (Dh[:, None] * s.absX)
-    return total
-
-
-def _k_qs(s: _System, rhs_term: np.ndarray, weights: WeightSpec) -> float:
+def _k_qs(s: _Embedded, rhs_term: np.ndarray, weights: WeightSpec) -> float:
     """k_qs over the generators the system was built from."""
-    qs = s.qs
-    D = [_row_weights(weights, getattr(qs, f), f) for f in "dpqgh"]
-    ra, rb = (_ratios(weights, getattr(qs, f), f) for f in "ab")
-    Yl, Zl, Yu, Zu = s.transfer()
-    total = rhs_term + _generator_terms(s, *D)
-    total += _rank_one_sum(Yl, np.abs(qs.a) * ra, Zl)
-    total += _rank_one_sum(Yu, np.abs(qs.b) * rb, Zu)
-    return s.k(total)
+    w = {f: _family_weights(weights, getattr(s.qs, f), f) for f in _PLACE}
+    return s.k(s.absG @ s.place(w) + rhs_term)
 
 
-def _k_gv(s: _System, gv: GvTangentParams, rhs_term: np.ndarray, weights: WeightSpec) -> float:
+def _k_gv(s: _Embedded, gv: GvTangentParams, rhs_term: np.ndarray, weights: WeightSpec) -> float:
     """k_gv over ``gv``, whose QS embedding the system was built from.
 
-    The l_i term is the a_i block with its head row scaled by -s_i² and the
-    rows below by c_i²: its column is c_i² a_i Lcol_i - s_i² p_i e_i (the
-    head row) over the row profile Lrow_i.  The u_i term modifies Urow_i
-    with r_i and t_i the same way.
+    v, d and w are the q, d and g entries.  l_i moves the p and a entries
+    of one z column, c_i and -s_i, by (-s_i², c_i²); u_i moves the h and b
+    entries of one y row, -r_i and -t_i, by (-t_i², r_i²).
     """
-    n = gv.n
-    Dd, Dv, Dw = (_row_weights(weights, getattr(gv, f), f) for f in "dvw")
-    rl, ru = (_ratios(weights, getattr(gv, f), f) for f in "lu")
+    k = gv.n - 2
+    M = s.place({q: _family_weights(weights, getattr(gv, f), f) for f, q in zip("vdw", "qdg")})
     trig = gv_tangent_to_trig(gv)
     c, sn, r, t = trig.c, trig.s, trig.r, trig.t
-    Yl, Zl, Yu, Zu = s.transfer()
-    total = rhs_term + _generator_terms(s, Dd, None, Dv, Dw, None)
-    total += _rank_one_sum(Yl * (c * c * sn) - s.Ainv[:, 1 : n - 1] * (sn * sn * c), rl, Zl)
-    total += _rank_one_sum(Yu, ru, Zu * (r * r * t)[:, None] - s.X[1 : n - 1] * (t * t * r)[:, None])
-    return s.k(total)
+    Su = (t * t * r)[:, None] * s.S[4::3][:k] - (r * r * t)[:, None] * s.S[5::3][:k]
+    M[2::3][:k] += _ratios(weights, gv.u, "u")[:, None] * np.abs(Su)
+    Gl = s.G[:, 4::3][:, :k] * (sn * sn * c) + s.G[:, 6::3][:, :k] * (c * c * sn)
+    Sl = _ratios(weights, gv.l, "l")[:, None] * s.absS[3::3][:k]
+    return s.k(s.absG @ M + np.abs(Gl) @ Sl + rhs_term)
 
 
-def _k_eff(s: _System, rhs_term: np.ndarray) -> float:
-    ones = np.ones(s.A.shape[0])
-    return s.k(rhs_term + _generator_terms(s, np.abs(np.diag(s.A)), ones, ones, ones, ones))
+def _k_eff(s: _Embedded, rhs_term: np.ndarray) -> float:
+    """k_eff: the natural-weight k_qs sum without the transfer entries a and b."""
+    return s.k(s.absG @ s.place({f: np.abs(getattr(s.qs, f)) for f in "dpgqh"}) + rhs_term)
 
 
 def cond_unstructured(A, B, X, E=None, F=None) -> float:
@@ -493,32 +495,31 @@ def cond_unstructuredA_sparseB(A, X, rhs: SparseRhs, E=None, f=None) -> float:
 def cond_qs(params: QsParams, rhs, X, weights: WeightSpec | None = None) -> float:
     """Structured condition number over the generator representation.
 
-    Sums the RHS contribution, the diagonal, the four generator-vector
-    terms through the weight diagonals D_p, D_q, D_g, D_h, and one rank-one
-    term per transfer coefficient a_i, b_i scaled by the weight/parameter
-    ratio.  With natural weights the diagonals collapse to the identity
-    (D_d to |A_D|) and every ratio is 1.
+    Sums the RHS contribution and one term |G[:, R]| w |S[C]| per
+    generator of the banded generator system (see :class:`_Embedded`).
+    The weight w is |ω| times the weight/parameter ratio, which is 1 with
+    natural weights.
     """
     weights = weights or WeightSpec()
-    s = _System(qs_materialize(params), X, qs=params)
+    s = _Embedded(params, X)
     return _k_qs(s, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
 
 
 def cond_gv(params: GvTangentParams, rhs, X, weights: WeightSpec | None = None) -> float:
     """Structured condition number over the tangent GV representation."""
     weights = weights or WeightSpec()
-    qs = gv_to_qs(params)
-    s = _System(qs_materialize(qs), X, qs=qs)
+    s = _Embedded(gv_to_qs(params), X)
     return _k_gv(s, params, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
 
 
 def cond_eff(params: QsParams, rhs, X) -> float:
     """Effective condition number: structure-aware but parameter-free.
 
-    Uses only the materialized matrix and the RHS pattern; a dense RHS
-    counts as one pattern per entry, whose contribution is |A⁻¹||B|.
+    Sums the natural-weight terms of every generator except the transfer
+    coefficients a and b, and the RHS pattern; a dense RHS counts as one
+    pattern per entry, whose contribution is |A⁻¹||B|.
     """
-    s = _System(qs_materialize(params), X)
+    s = _Embedded(params, X)
     return _k_eff(s, _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
 
 
@@ -526,8 +527,10 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     """Compute every applicable condition number from one prepared system.
 
     ``source`` may be QS parameters, GV parameters, or a dense matrix
-    recognizable as {1;1}-quasiseparable.  If X is omitted it is solved
-    from the materialized system.  ``weights`` (natural by default) applies
+    recognizable as {1;1}-quasiseparable.  One banded generator system is
+    factored for every number; if X is omitted it is solved from it.  The
+    materialized A enters only the unstructured values, and a non-finite A
+    is refused as an overflow.  ``weights`` (natural by default) applies
     to ``k_qs``, ``k_gv`` and the RHS of the unstructured values; ``k_eff``
     is parameter-free.  For a GV source the parameter weights name the GV
     families, so ``k_qs`` of the embedded generators keeps natural
@@ -549,12 +552,16 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     if X is not None and np.ndim(X) == 1:
         X = np.asarray(X, dtype=float)[:, None]
 
-    s = _System(qs_materialize(qs), X, B, qs=qs)
+    with np.errstate(over="ignore"):
+        A = qs_materialize(qs)
+    if not np.all(np.isfinite(A)):
+        raise ArithmeticError("the coefficient matrix overflows: its materialized entries are not finite")
+    s = _Embedded(qs, X, B)
     rhs_term = _rhs_term(s, rhs, _rhs_weights(rhs, weights))
     k_qs = _k_qs(s, rhs_term, WeightSpec() if gv is not None else weights)
     k_gv = _k_gv(s, gv, rhs_term, weights) if gv is not None else None
     k_eff = _k_eff(s, rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
-    entry = _entry_term(s)
+    entry = _entry_term(s, np.abs(A))
     F = np.abs(B) if weights.F is None else weights.F
     return CondReport(
         n=qs.n,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qscond import (
 from qscond.cli import main
 from qscond.condnum import matrix_inverse
 from qscond.experiments import gen_illscaled_qs, gen_sparse_rhs
-from qscond.io import params_to_json_dict
+from qscond.io import params_to_json_dict, rhs_from_text
 from qscond.qsrep import gv_tangent_to_trig, split_lower_diag_upper
 from qscond.sensitivity import natural_term_weights
 
@@ -538,11 +539,13 @@ class TestFactorOnce:
     @pytest.mark.parametrize("kind", ["qs", "gv", "dense"])
     @pytest.mark.parametrize("given_x", [False, True])
     def test_one_inverse_and_one_materialization_per_report(self, kind, given_x, rng, monkeypatch):
+        """The one inverse is the banded factorization of the generator
+        system; no structured source takes a dense inverse."""
         gv = make_gv(9, rng)
         source = {"qs": gv_to_qs(gv), "gv": gv, "dense": qs_materialize(gv_to_qs(gv))}[kind]
         rhs = SparseRhs.from_dense(rng.standard_normal((9, 2)) * (rng.random((9, 2)) < 0.5) + np.eye(9, 2))
         X = solve(qs_materialize(gv_to_qs(gv)), rhs) if given_x else None
-        calls = {"matrix_inverse": 0, "qs_materialize": 0}
+        calls = {"dgbtrf": 0, "matrix_inverse": 0, "qs_materialize": 0}
 
         def counted(name):
             real = getattr(condnum, name)
@@ -556,5 +559,93 @@ class TestFactorOnce:
         for name in calls:
             monkeypatch.setattr(condnum, name, counted(name))
         rep = cond_report(source, rhs, X=X)
-        assert calls == {"matrix_inverse": 1, "qs_materialize": 1}
+        assert calls == {"dgbtrf": 1, "matrix_inverse": 0, "qs_materialize": 1}
         assert (rep.k_gv is not None) == (kind == "gv")
+
+
+ILLSCALED_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "illscaled_reference.json"
+
+
+class TestIllScaledReference:
+    def test_report_matches_stored_high_precision_values(self):
+        """cond_report solves the stored ill-scaled instances to their mpmath values."""
+        doc = json.loads(ILLSCALED_REFERENCE.read_text())
+        assert len(doc["instances"]) == 4
+        for inst in doc["instances"]:
+            qs = QsParams(**{f: inst["params"][f] for f in "paqdgbh"})
+            rep = cond_report(qs, rhs_from_text(json.dumps(inst["rhs"])))
+            for key in ("k_qs", "k_eff", "k_unstructured", "k_unstructured_sparse"):
+                want = float(inst["reference"][key])
+                assert getattr(rep, key) == pytest.approx(want, rel=1e-12), (inst["n"], inst["seed"], key)
+
+
+def mp_materialize(mp, g):
+    """The dense matrix of the generators ``g`` in mpmath, entry by entry."""
+    n = len(g["d"])
+    A = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                A[i, j] = g["d"][i]
+            elif i > j:
+                A[i, j] = g["p"][i - 1] * mp.fprod(g["a"][j : i - 1]) * g["q"][j]
+            else:
+                A[i, j] = g["g"][i] * mp.fprod(g["b"][i : j - 1]) * g["h"][j - 1]
+    return A
+
+
+def mp_k_qs(qs, B, X, dps=800):
+    """k_qs with natural weights at ``dps`` digits: every generator term is
+    ω ∂A/∂ω = A - A(ω:=0), since each entry holds each generator at most once."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        g = {f: [mp.mpf(float(v)) for v in getattr(qs, f)] for f in "paqdgbh"}
+        A = mp_materialize(mp, g)
+        Ainv, Xm = A**-1, mp.matrix(X.tolist())
+        absAinv = Ainv.apply(abs)
+        total = absAinv * mp.matrix(np.abs(B).tolist())
+        for f in "paqdgbh":
+            for k in range(len(g[f])):
+                zeroed = dict(g, **{f: g[f][:k] + [mp.mpf(0)] + g[f][k + 1 :]})
+                total += (Ainv * (A - mp_materialize(mp, zeroed)) * Xm).apply(abs)
+        return float(max(total) / max(Xm.apply(abs)))
+
+
+class TestTinyP:
+    """Tiny p against huge transfer coefficients: A is finite, while the
+    generator system spans the range of double precision."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(0)
+        p, a = np.array([1.0, 1e-300, 1e-300, 1e-300]), np.array([1e200, 1e200, 1.0])
+        q, d, g, b, h = (rng.standard_normal(k) for k in (4, 5, 4, 3, 4))
+        qs = QsParams(p=p, a=a, q=q, d=d, g=g, b=b, h=h)
+        return qs, rng.standard_normal((5, 2))
+
+    def test_given_x_matches_mpmath(self):
+        pytest.importorskip("mpmath")
+        qs, B = self.instance()
+        X = np.linalg.solve(qs_materialize(qs), B)
+        got = cond_report(qs, B, X=X).k_qs
+        assert np.isfinite(got)
+        assert got == pytest.approx(mp_k_qs(qs, B, X), rel=1e-12)
+
+    def test_untrusted_solve_is_refused(self, tmp_path, capsys):
+        qs, B = self.instance()
+        with pytest.raises(ArithmeticError, match="backward error"):
+            cond_report(qs, B)
+        params, rhs = tmp_path / "qs.json", tmp_path / "B.json"
+        params.write_text(json.dumps(params_to_json_dict(qs)))
+        rhs.write_text(json.dumps(B.tolist()))
+        assert main(["cond", str(params), str(rhs), "--json"]) == 2
+        assert "backward error" in capsys.readouterr().err
+
+
+def test_overflowing_matrix_is_reported_as_overflow():
+    qs = gen_illscaled_qs(300, 0)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(qs_materialize(qs)))
+    with pytest.raises(ArithmeticError, match="overflow"):
+        cond_report(qs, gen_sparse_rhs(300, 3, 0.3, 0))
