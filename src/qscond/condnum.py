@@ -73,11 +73,14 @@ class SparseRhs:
 class WeightSpec:
     """Perturbation weights for the structured condition numbers.
 
-    variant "natural" weights every parameter by its own magnitude (and B
-    by |B|).  variant "explicit" supplies per-family weight vectors in
-    ``e`` (keys matching the parameter families, e.g. "p", "a", ... or
-    "l", "v", ...), an entrywise matrix weight ``F`` for a dense RHS, or a
-    per-term vector ``f`` for a sparse RHS.
+    Each weight bounds the perturbation of its own parameter,
+    |δω_k| <= ε w_k.  variant "natural" takes w_k = |ω_k| (and |B| for the
+    RHS).  variant "explicit" supplies per-family weight vectors in ``e``
+    (keys matching the parameter families, e.g. "p", "a", ... or "l",
+    "v", ...), an entrywise matrix weight ``F`` for a dense RHS, or a
+    per-term vector ``f`` for a sparse RHS; they are used as given, a
+    nonzero weight on a zero parameter included.  Negative or non-finite
+    weights are refused.
     """
 
     variant: str = "natural"
@@ -88,6 +91,11 @@ class WeightSpec:
     def __post_init__(self):
         if self.variant not in ("natural", "explicit"):
             raise ValueError(f"unknown weight variant {self.variant!r}")
+        self.e = {fam: np.asarray(v, dtype=float) for fam, v in self.e.items()}
+        self.F, self.f = (None if v is None else np.asarray(v, dtype=float) for v in (self.F, self.f))
+        for v in (*self.e.values(), self.F, self.f):
+            if v is not None and not np.all((v >= 0.0) & (v < np.inf)):
+                raise ValueError("weights must be nonnegative and finite")
 
     @property
     def natural(self) -> bool:
@@ -313,40 +321,16 @@ class _Embedded:
         return _mx(total) / self.norm
 
 
-def _ratios(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
-    """|e_k / omega_k| with the zero-parameter conventions.
-
-    Natural mode: the ratio is identically 1, including at omega = 0.
-    Explicit mode: 0 when both weight and parameter vanish, error when the
-    weight is nonzero but the parameter is 0.
-    """
+def _family_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
+    """w_k of the terms |G[:, R_k]| w_k |S[C_k]|: |ω_k|, or the explicit e_k as given."""
     if weights.natural:
-        return np.ones_like(params)
-    if weights.e.get(family) is None:
+        return np.abs(params)
+    e = weights.e.get(family)
+    if e is None:
         raise ValueError(f"explicit weights missing for parameter family {family!r}")
-    e = np.asarray(weights.e[family], dtype=float)
     if e.shape != params.shape:
         raise ValueError(f"weight vector for {family!r} has wrong length")
-    zero = params == 0.0
-    bad = np.flatnonzero(zero & (e != 0.0))
-    if bad.size:
-        raise ValueError(f"weighted ratio undefined: {family}_{bad[0]} = 0 with nonzero weight")
-    out = np.zeros_like(params)
-    out[~zero] = np.abs(e[~zero] / params[~zero])
-    return out
-
-
-def _family_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
-    """w_k of the terms |G[:, R_k]| w_k |S[C_k]|: |omega_k| times its ratio.
-
-    Explicit d weights are taken as given, zero diagonal entries included.
-    """
-    if family != "d" or weights.natural:
-        return np.abs(params) * _ratios(weights, params, family)
-    e = weights.e.get("d")
-    if e is None or np.shape(e) != params.shape:
-        raise ValueError("explicit weights for parameter family 'd' missing or of wrong length")
-    return np.asarray(e, dtype=float)
+    return e
 
 
 def _rhs_weights(rhs, weights: WeightSpec):
@@ -358,12 +342,12 @@ def _rhs_weights(rhs, weights: WeightSpec):
             raise ValueError("explicit weights missing for sparse RHS")
         if np.size(weights.f) != rhs.num_terms:
             raise ValueError("RHS weight vector length mismatch")
-        return np.asarray(weights.f, dtype=float)
+        return weights.f
     B = np.asarray(rhs, dtype=float)
     F = np.abs(B) if weights.natural else weights.F
-    if F is None or np.shape(F) != B.shape:
+    if F is None or F.shape != B.shape:
         raise ValueError("dense RHS weight matrix missing or mismatched")
-    return np.asarray(F, dtype=float)
+    return F
 
 
 def _rhs_term(s, rhs, f) -> np.ndarray:
@@ -388,9 +372,9 @@ def _entry_term(s, E=None) -> np.ndarray:
     return s.absAinv @ (E @ s.absX)
 
 
-def _k_qs(s: _Embedded, rhs_term: np.ndarray, weights: WeightSpec) -> float:
-    """k_qs over the generators the system was built from."""
-    w = {f: _family_weights(weights, getattr(s.qs, f), f) for f in _PLACE}
+def _k_qs(s: _Embedded, rhs_term: np.ndarray, weights: WeightSpec, families=_PLACE) -> float:
+    """k_qs over the generators the system was built from, or over ``families`` of them."""
+    w = {f: _family_weights(weights, getattr(s.qs, f), f) for f in families}
     return s.k(s.absG @ s.place(w) + rhs_term)
 
 
@@ -398,23 +382,22 @@ def _k_gv(s: _Embedded, gv: GvTangentParams, rhs_term: np.ndarray, weights: Weig
     """k_gv over ``gv``, whose QS embedding the system was built from.
 
     v, d and w are the q, d and g entries.  l_i moves the p and a entries
-    of one z column, c_i and -s_i, by (-s_i², c_i²); u_i moves the h and b
-    entries of one y row, -r_i and -t_i, by (-t_i², r_i²).
+    of one z column, c_i and -s_i, at the rates (-s_i c_i², c_i³); u_i
+    moves the h and b entries of one y row, -r_i and -t_i, at the rates
+    (-t_i r_i², r_i³).
     """
     k = gv.n - 2
-    M = s.place({q: _family_weights(weights, getattr(gv, f), f) for f, q in zip("vdw", "qdg")})
+    w = {f: _family_weights(weights, getattr(gv, f), f) for f in "lvdwu"}
+    M = s.place({q: w[f] for f, q in zip("vdw", "qdg")})
     trig = gv_tangent_to_trig(gv)
     c, sn, r, t = trig.c, trig.s, trig.r, trig.t
-    Su = (t * t * r)[:, None] * s.S[4::3][:k] - (r * r * t)[:, None] * s.S[5::3][:k]
-    M[2::3][:k] += _ratios(weights, gv.u, "u")[:, None] * np.abs(Su)
-    Gl = s.G[:, 4::3][:, :k] * (sn * sn * c) + s.G[:, 6::3][:, :k] * (c * c * sn)
-    Sl = _ratios(weights, gv.l, "l")[:, None] * s.absS[3::3][:k]
-    return s.k(s.absG @ M + np.abs(Gl) @ Sl + rhs_term)
+    Su = (r * r * r)[:, None] * s.S[5::3][:k] - (t * r * r)[:, None] * s.S[4::3][:k]
+    M[2::3][:k] += w["u"][:, None] * np.abs(Su)
+    Gl = s.G[:, 4::3][:, :k] * (sn * c * c) + s.G[:, 6::3][:, :k] * (c * c * c)
+    return s.k(s.absG @ M + np.abs(Gl) @ (w["l"][:, None] * s.absS[3::3][:k]) + rhs_term)
 
 
-def _k_eff(s: _Embedded, rhs_term: np.ndarray) -> float:
-    """k_eff: the natural-weight k_qs sum without the transfer entries a and b."""
-    return s.k(s.absG @ s.place({f: np.abs(getattr(s.qs, f)) for f in "dpgqh"}) + rhs_term)
+_EFF = "dpgqh"  # k_eff leaves out the transfer coefficients a and b
 
 
 def cond_unstructured(A, B, X, E=None, F=None) -> float:
@@ -497,8 +480,7 @@ def cond_qs(params: QsParams, rhs, X, weights: WeightSpec | None = None) -> floa
 
     Sums the RHS contribution and one term |G[:, R]| w |S[C]| per
     generator of the banded generator system (see :class:`_Embedded`).
-    The weight w is |ω| times the weight/parameter ratio, which is 1 with
-    natural weights.
+    The weight w is |ω| with natural weights, otherwise the explicit one.
     """
     weights = weights or WeightSpec()
     s = _Embedded(params, X)
@@ -520,7 +502,7 @@ def cond_eff(params: QsParams, rhs, X) -> float:
     pattern per entry, whose contribution is |A⁻¹||B|.
     """
     s = _Embedded(params, X)
-    return _k_eff(s, _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
+    return _k_qs(s, _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())), WeightSpec(), _EFF)
 
 
 def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | None = None) -> CondReport:
@@ -548,6 +530,8 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     B = rhs.materialize() if sparse else np.asarray(rhs, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
+    if B.shape[0] != qs.n:
+        raise ValueError(f"the right-hand side has {B.shape[0]} rows, the matrix has order {qs.n}")
     rhs = rhs if sparse else B
     if X is not None and np.ndim(X) == 1:
         X = np.asarray(X, dtype=float)[:, None]
@@ -560,7 +544,8 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     rhs_term = _rhs_term(s, rhs, _rhs_weights(rhs, weights))
     k_qs = _k_qs(s, rhs_term, WeightSpec() if gv is not None else weights)
     k_gv = _k_gv(s, gv, rhs_term, weights) if gv is not None else None
-    k_eff = _k_eff(s, rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())))
+    eff_rhs_term = rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec()))
+    k_eff = _k_qs(s, eff_rhs_term, WeightSpec(), _EFF)
     entry = _entry_term(s, np.abs(A))
     F = np.abs(B) if weights.F is None else weights.F
     return CondReport(

@@ -130,7 +130,12 @@ def rhs_from_text(text: str):
         for key in ("n", "m", "terms"):
             if key not in obj:
                 raise InputError(f"sparse RHS object missing field {key!r}")
+        for key in ("n", "m"):
+            if not isinstance(obj[key], int) or obj[key] < 1:
+                raise InputError(f"sparse RHS field {key!r} must be an integer >= 1")
         n, m = obj["n"], obj["m"]
+        if not isinstance(obj["terms"], list):
+            raise InputError("sparse RHS field 'terms' must be a list")
         terms = []
         for k, t in enumerate(obj["terms"]):
             try:
@@ -139,6 +144,8 @@ def rhs_from_text(text: str):
                 raise InputError(f"sparse RHS term {k} malformed: {exc}") from exc
             if not (1 <= i <= n and 1 <= j <= m):
                 raise InputError(f"sparse RHS term {k} index ({i},{j}) out of range")
+            if not np.isfinite(omega):
+                raise InputError(f"sparse RHS term {k} has non-finite omega {omega}")
             S = np.zeros((n, m))
             S[i - 1, j - 1] = 1.0
             terms.append((S, omega))
@@ -158,19 +165,10 @@ def weights_from_text(text: str) -> WeightSpec:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("weight file must contain a JSON object")
-    e = {}
-    for fam, arr in obj.get("e", {}).items():
-        e[fam] = np.asarray(arr, dtype=float)
-        if np.any(e[fam] < 0) or not np.all(np.isfinite(e[fam])):
-            raise InputError("weights must be nonnegative")
-    F = None
-    if obj.get("F") is not None:
-        F = np.asarray(obj["F"], dtype=float)
-        if np.any(F < 0) or not np.all(np.isfinite(F)):
-            raise InputError("weights must be nonnegative")
-    f = None
-    if obj.get("f") is not None:
-        f = np.asarray(obj["f"], dtype=float)
-        if np.any(f < 0) or not np.all(np.isfinite(f)):
-            raise InputError("weights must be nonnegative")
-    return WeightSpec(variant="explicit", e=e, F=F, f=f)
+    e = obj.get("e", {})
+    if not isinstance(e, dict):
+        raise InputError("weight file field 'e' must be an object mapping families to weights")
+    try:
+        return WeightSpec(variant="explicit", e=e, F=obj.get("F"), f=obj.get("f"))
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc

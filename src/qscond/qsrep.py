@@ -199,16 +199,13 @@ def gv_to_qs(gv: GvTangentParams) -> QsParams:
 
 
 def gv_materialize(gv: GvTangentParams) -> np.ndarray:
-    """Assemble the dense matrix directly from the GV representation.
+    """Assemble the dense matrix of a GV representation through its embedding.
 
-    Entries are built from the cosine/sine recurrences: row i of the lower
-    part carries the head factor c_i (none for the last row), then one sine
-    per step to the left; the upper part likewise with r and t.
+    Row i of the lower part carries the head factor c_i (none for the last
+    row), then one sine per step to the left; the upper part likewise with
+    r and t.
     """
-    trig = gv_tangent_to_trig(gv)
-    return _fill_generators(
-        trig.d, np.append(trig.c, 1.0), trig.s, trig.v, trig.w, trig.t, np.append(trig.r, 1.0)
-    )
+    return qs_materialize(gv_to_qs(gv))
 
 
 def qs_matvec(qs: QsParams, x: np.ndarray) -> np.ndarray:

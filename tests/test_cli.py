@@ -93,6 +93,23 @@ class TestCond:
         assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
         assert "weights must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rhs_doc, message", [
+        ({"n": "3", "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "'n' must be an integer >= 1"),
+        ({"n": 5, "m": 1, "terms": 5}, "'terms' must be a list"),
+        ({"n": 4, "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "4 rows, the matrix has order 5"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": "nan"}]}, "non-finite omega"),
+    ], ids=["n-not-integer", "terms-not-list", "n-not-order", "omega-nan"])
+    def test_malformed_sparse_rhs(self, identity_qs, tmp_path, capsys, rhs_doc, message):
+        rhs = write(tmp_path, "B.json", json.dumps(rhs_doc))
+        assert main(["cond", identity_qs, rhs]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_weight_families_not_an_object(self, identity_qs, tmp_path, capsys):
+        rhs = write(tmp_path, "B.csv", "\n".join(["1.0,1.0"] * 5))
+        wfile = write(tmp_path, "w.json", json.dumps({"e": [1, 2]}))
+        assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
+        assert "field 'e' must be an object" in capsys.readouterr().err
+
     def test_gv_weights_file(self, tmp_path, capsys):
         """GV-family weights equal to the natural ones give the natural output."""
         rng = np.random.default_rng(3)

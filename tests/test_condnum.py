@@ -18,7 +18,10 @@ from qscond import (
     cond_report,
     cond_unstructured,
     cond_unstructuredA_sparseB,
+    gv_derivatives,
     gv_to_qs,
+    linearized_sup_oracle,
+    qs_derivatives,
     qs_materialize,
     qs_weighted_derivatives,
 )
@@ -323,17 +326,39 @@ class TestCondQs:
             expected = {"k_qs", "k_eff", "k_unstructured"} | ({"k_unstructured_sparse"} if isinstance(rhs, SparseRhs) else set())
             assert set(outputs[0]) == expected
 
-    def test_zero_param_with_weight_errors(self, rng):
-        qs = make_qs(5, rng)
-        qs.a[0] = 0.0
-        B = rng.standard_normal((5, 1))
-        X = np.linalg.solve(qs_materialize(qs), B)
-        e = {f: np.abs(getattr(qs, f)) for f in "paqdgbh"}
-        e["a"] = np.ones_like(qs.a)
-        with pytest.raises(ValueError, match="weighted ratio undefined"):
-            cond_qs(qs, B, X, WeightSpec(variant="explicit", e=e, F=np.abs(B)))
-        # natural mode stays total
-        assert np.isfinite(cond_qs(qs, B, X))
+    def test_zero_params_with_weights_match_oracle(self, rng):
+        """Every weight bounds its own parameter, a zero parameter included:
+        cond_qs and cond_gv equal the sup oracle over the unweighted
+        derivatives with the same weights."""
+        for trial in range(60):
+            n = 3 + trial % 6
+            for make, derivatives, cond in ((make_qs, qs_derivatives, cond_qs), (make_gv, gv_derivatives, cond_gv)):
+                while True:  # zeroed generators can leave A singular: redraw those
+                    params = make(n, rng)
+                    for v in vars(params).values():
+                        v[rng.random(v.size) < 0.3] = 0.0
+                    A = qs_materialize(params if make is make_qs else gv_to_qs(params))
+                    if np.linalg.cond(A) < 1e6:
+                        break
+                rhs = SparseRhs.from_dense(rng.standard_normal((n, 2)) * (rng.random((n, 2)) < 0.6) + np.eye(n, 2))
+                X = solve(A, rhs)
+                e = {f: 0.1 + rng.random(v.size) for f, v in vars(params).items()}
+                weights = WeightSpec(variant="explicit", e=e, f=0.1 + rng.random(rhs.num_terms))
+                terms = derivatives(params)
+                want = linearized_sup_oracle(
+                    A, X, [t.matrix for t in terms], np.concatenate(list(e.values())),
+                    [S for S, _ in rhs.terms], weights.f, enumerate_signs=False,
+                )
+                assert cond(params, rhs, X, weights) == pytest.approx(want, rel=1e-10)
+                # natural mode stays total
+                assert np.isfinite(cond(params, rhs, X))
+
+    def test_negative_or_nonfinite_weights_refused(self):
+        for bad in (-1.0, np.nan, np.inf):
+            vector = np.array([1.0, bad, 0.5])
+            for kwargs in ({"e": {"d": vector}}, {"F": vector[:, None]}, {"f": vector}):
+                with pytest.raises(ValueError, match="weights must be nonnegative"):
+                    WeightSpec(variant="explicit", **kwargs)
 
     def test_weight_monotonicity(self, rng):
         qs = make_qs(5, rng)
