@@ -31,7 +31,6 @@ from .oracle import (
 )
 from .qsrep import (
     GvTangentParams,
-    GvTrigParams,
     QsParams,
     gv_materialize,
     gv_tangent_to_trig,
@@ -39,16 +38,13 @@ from .qsrep import (
     qs_from_dense,
     qs_materialize,
     qs_matvec,
-    split_lower_diag_upper,
 )
 from .sensitivity import (
     DerivativeTerm,
     gv_derivatives,
     gv_weighted_derivatives,
-    natural_term_weights,
     qs_derivatives,
     qs_weighted_derivatives,
-    solution_directional_derivative,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +54,6 @@ __all__ = [
     "DerivativeTerm",
     "ExperimentConfig",
     "GvTangentParams",
-    "GvTrigParams",
     "QsParams",
     "SparseRhs",
     "WeightSpec",
@@ -81,7 +76,6 @@ __all__ = [
     "gv_to_qs",
     "gv_weighted_derivatives",
     "linearized_sup_oracle",
-    "natural_term_weights",
     "qs_derivatives",
     "qs_from_dense",
     "qs_materialize",
@@ -91,7 +85,5 @@ __all__ = [
     "rows_to_markdown",
     "run_table",
     "sampled_ratio_lower_bound",
-    "solution_directional_derivative",
-    "split_lower_diag_upper",
     "worst_sign_pattern",
 ]

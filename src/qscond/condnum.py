@@ -389,8 +389,7 @@ def _k_gv(s: _Embedded, gv: GvTangentParams, rhs_term: np.ndarray, weights: Weig
     k = gv.n - 2
     w = {f: _family_weights(weights, getattr(gv, f), f) for f in "lvdwu"}
     M = s.place({q: w[f] for f, q in zip("vdw", "qdg")})
-    trig = gv_tangent_to_trig(gv)
-    c, sn, r, t = trig.c, trig.s, trig.r, trig.t
+    c, sn, r, t = gv_tangent_to_trig(gv)
     Su = (r * r * r)[:, None] * s.S[5::3][:k] - (t * r * r)[:, None] * s.S[4::3][:k]
     M[2::3][:k] += w["u"][:, None] * np.abs(Su)
     Gl = s.G[:, 4::3][:, :k] * (sn * c * c) + s.G[:, 6::3][:, :k] * (c * c * c)
@@ -456,11 +455,7 @@ def cond_param_denseB(A, X, dA_terms: Sequence[np.ndarray], e: Sequence[float], 
 
 def cond_param_sparseB(A, X, dA_terms: Sequence[np.ndarray], e: Sequence[float], rhs: SparseRhs, f: Sequence[float]) -> float:
     """Parameterized A with a sparse B = Σ ω_k S_k, so ∂B/∂ω_k = S_k."""
-    s = _System(A, X)
-    total = _param_terms(s, dA_terms, e)
-    if len(f) != rhs.num_terms:
-        raise ValueError("RHS weight vector length mismatch")
-    return s.k(total + _rhs_term(s, rhs, f))
+    return cond_param_general(A, X, dA_terms, [S for S, _ in rhs.terms], e, f)
 
 
 def cond_unstructuredA_sparseB(A, X, rhs: SparseRhs, E=None, f=None) -> float:
@@ -513,8 +508,8 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     factored for every number; if X is omitted it is solved from it.  The
     materialized A enters only the unstructured values, and a non-finite A
     is refused as an overflow.  ``weights`` (natural by default) applies
-    to ``k_qs``, ``k_gv`` and the RHS of the unstructured values; ``k_eff``
-    is parameter-free.  For a GV source the parameter weights name the GV
+    to ``k_qs``, ``k_gv`` and the RHS of the unstructured values, where a
+    given ``F`` must have the shape of B; ``k_eff`` is parameter-free.  For a GV source the parameter weights name the GV
     families, so ``k_qs`` of the embedded generators keeps natural
     generator weights; its RHS weights are still the explicit ones.
     """
@@ -547,7 +542,7 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     eff_rhs_term = rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec()))
     k_eff = _k_qs(s, eff_rhs_term, WeightSpec(), _EFF)
     entry = _entry_term(s, np.abs(A))
-    F = np.abs(B) if weights.F is None else weights.F
+    F = np.abs(B) if weights.F is None else _rhs_weights(B, weights)
     return CondReport(
         n=qs.n,
         m=B.shape[1],

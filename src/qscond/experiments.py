@@ -36,6 +36,8 @@ class ExperimentConfig:
         min_n = 3 if self.generator == "random-gv" else 2
         if self.n < min_n:
             raise ValueError(f"n must be at least {min_n} for {self.generator}")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 

@@ -105,10 +105,6 @@ def matrix_from_text(text: str) -> np.ndarray:
     return M
 
 
-def load_matrix(path: str | Path) -> np.ndarray:
-    return matrix_from_text(Path(path).read_text())
-
-
 def matrix_to_csv(M: np.ndarray) -> str:
     return "\n".join(",".join(repr(float(x)) for x in row) for row in np.asarray(M, dtype=float))
 

@@ -121,30 +121,15 @@ class GvTangentParams:
         return np.concatenate([getattr(self, f) for f in "lvdwu"])
 
 
-@dataclass
-class GvTrigParams:
-    """Cosine/sine form of the Givens-vector representation.
+def gv_tangent_to_trig(gv: GvTangentParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine/sine pairs (c, s, r, t) of the lower and upper rotations.
 
-    c, s are the cosines/sines of the lower rotations (index 2..n-1) and
-    r, t the cosines/sines of the upper rotations (index 2..n-1).
+    c = 1/sqrt(1+l^2), s = l*c and r = 1/sqrt(1+u^2), t = u*r, each over
+    the one-based index range 2..n-1.
     """
-
-    c: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-
-
-def gv_tangent_to_trig(gv: GvTangentParams) -> GvTrigParams:
-    """Convert tangents to cosine/sine pairs: c = 1/sqrt(1+l^2), s = l*c."""
     c = 1.0 / np.sqrt(1.0 + gv.l**2)
-    s = gv.l * c
     r = 1.0 / np.sqrt(1.0 + gv.u**2)
-    t = gv.u * r
-    return GvTrigParams(c=c, s=s, v=gv.v.copy(), d=gv.d.copy(), w=gv.w.copy(), r=r, t=t)
+    return c, gv.l * c, r, gv.u * r
 
 
 def _fill_generators(d, p, a, q, g, b, h) -> np.ndarray:
@@ -181,20 +166,15 @@ def gv_to_qs(gv: GvTangentParams) -> QsParams:
     a_i = s_i, q_j = v_j; the upper part maps symmetrically with
     h_i = r_i for i = 2..n-1, h_n = 1, b_i = t_i, g_j = w_j.
     """
-    trig = gv_tangent_to_trig(gv)
-    n = gv.n
-    p = np.ones(n - 1)
-    p[: n - 2] = trig.c
-    h = np.ones(n - 1)
-    h[: n - 2] = trig.r
+    c, s, r, t = gv_tangent_to_trig(gv)
     return QsParams(
-        p=p,
-        a=trig.s.copy(),
+        p=np.append(c, 1.0),
+        a=s,
         q=gv.v.copy(),
         d=gv.d.copy(),
         g=gv.w.copy(),
-        b=trig.t.copy(),
-        h=h,
+        b=t,
+        h=np.append(r, 1.0),
     )
 
 
@@ -270,9 +250,3 @@ def qs_from_dense(A: np.ndarray, tol: float = 1e-10) -> QsParams:
             f"reconstruction residual {resid:.3e} exceeds tolerance"
         )
     return qs
-
-
-def split_lower_diag_upper(A: np.ndarray):
-    """Return (A_L, A_D, A_U): strictly lower, diagonal, strictly upper parts."""
-    A = np.asarray(A, dtype=float)
-    return np.tril(A, -1), np.diag(np.diag(A)), np.triu(A, 1)

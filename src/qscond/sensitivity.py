@@ -10,8 +10,9 @@ Both identities hold exactly in floating point for a finite A: a factor 1
 changes no product, and an entry off the parameter's support is computed
 by the same multiplications in both materializations, so it cancels to 0.
 The derivatives stay correct when parameters are zero, and the weighted
-form is a row, column or block of A itself, bit for bit.  All 7n−8
-substitutions are materialized in one batched sweep.
+form of every generator, d included, is a row, column or block of A
+itself, bit for bit.  All 7n−8 substitutions are materialized in one
+batched sweep.
 
 The GV terms follow by the chain rule through ``gv_to_qs``: l_i moves
 (p_i, a_i) = (c_i, s_i), with dc/dl = −s c² and ds/dl = c³, and u_i moves
@@ -56,13 +57,12 @@ def _qs_core(qs: QsParams, weighted: bool) -> dict[str, np.ndarray]:
 
     Batch row k substitutes generator k once by ``hi`` and once by 0; the
     difference of the two materializations is term k.  ``hi`` is 1, or the
-    generator itself in weighted form, where d stays unweighted.
+    generator itself in weighted form.
     """
     omega = qs.flat()
     K = omega.size
     cuts = np.cumsum([getattr(qs, f).size for f in _QS_FIRST])[:-1]
-    hi = omega.copy() if weighted else np.ones(K)
-    hi[cuts[2] : cuts[3]] = 1.0  # the d block
+    hi = omega if weighted else np.ones(K)
     batch = np.tile(omega, (2, K, 1))
     k = np.arange(K)
     batch[0, k, k] = hi
@@ -75,8 +75,7 @@ def _qs_core(qs: QsParams, weighted: bool) -> dict[str, np.ndarray]:
 def _gv_core(gv: GvTangentParams, weighted: bool) -> dict[str, np.ndarray]:
     """GV derivative stacks by the chain rule through the embedded QS terms."""
     D = _qs_core(gv_to_qs(gv), weighted)
-    trig = gv_tangent_to_trig(gv)
-    c, s, r, t = (x[:, None, None] for x in (trig.c, trig.s, trig.r, trig.t))
+    c, s, r, t = (x[:, None, None] for x in gv_tangent_to_trig(gv))
     m = gv.n - 2
     if weighted:
         (lp, la), (uh, ub) = (-(s**2), c**2), (-(t**2), r**2)
@@ -110,11 +109,11 @@ def gv_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
 
 
 def qs_weighted_derivatives(qs: QsParams) -> list[DerivativeTerm]:
-    """Weighted derivative terms omega * dA/domega, equal to blocks of A.
+    """Weighted derivative terms omega * dA/domega = A - A(omega:=0).
 
-    The d-terms carry the plain unit matrices e_i e_i^T; every other term
-    is the parameter-weighted derivative, which equals a row, column, or
-    contiguous block of the materialized matrix.
+    Every term, d included, absorbs its parameter and equals a row, column
+    or contiguous block of the materialized matrix; the d_i term is
+    d_i e_i e_i^T.  The natural weight of every term is therefore 1.
     """
     return _terms(qs, _QS_FIRST, _qs_core(qs, weighted=True))
 
@@ -127,30 +126,3 @@ def gv_weighted_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
     column and row terms of the QS family.
     """
     return _terms(gv, _GV_FIRST, _gv_core(gv, weighted=True))
-
-
-def natural_term_weights(terms: list[DerivativeTerm]) -> list[float]:
-    """Natural weights matching the weighted-term convention.
-
-    Weighted terms already absorb their parameter, so their natural weight
-    is 1 — except the d-terms, which are stored unweighted and need |d_i|.
-    """
-    return [abs(t.value) if t.family == "d" else 1.0 for t in terms]
-
-
-def solution_directional_derivative(
-    A: np.ndarray,
-    X: np.ndarray,
-    dA: np.ndarray | None = None,
-    dB: np.ndarray | None = None,
-) -> np.ndarray:
-    """First-order change of X = A^{-1} B along (dA, dB).
-
-    Returns A^{-1} (dB - dA X); either direction may be omitted.
-    """
-    rhs = np.zeros_like(X, dtype=float)
-    if dA is not None:
-        rhs -= dA @ X
-    if dB is not None:
-        rhs = rhs + dB
-    return np.linalg.solve(A, rhs)

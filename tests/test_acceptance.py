@@ -35,7 +35,6 @@ from qscond import (
     gv_to_qs,
     gv_weighted_derivatives,
     linearized_sup_oracle,
-    natural_term_weights,
     qs_materialize,
     qs_matvec,
     qs_weighted_derivatives,
@@ -104,7 +103,7 @@ def test_criterion_2_oracle_equivalence():
         X = np.linalg.solve(A, B)
         terms = qs_weighted_derivatives(qs)
         dA = [t.matrix for t in terms]
-        eA = natural_term_weights(terms)
+        eA = [1.0] * len(terms)  # weighted terms absorb their parameters
         dense_rhs = SparseRhs.from_dense(B)
         dB = [S for S, _ in dense_rhs.terms]
         fB = [abs(w) for _, w in dense_rhs.terms]
@@ -119,7 +118,7 @@ def test_criterion_2_oracle_equivalence():
         shared = [t for t in terms if t.family == "d"]
         others = [t for t in terms if t.family != "d"]
         dA_sh = [t.matrix for t in shared + others]
-        eA_sh = natural_term_weights(shared + others)
+        eA_sh = [1.0] * len(dA_sh)
         dB_sh = [np.eye(n)[:, [i]] @ np.ones((1, m)) * 0.0 for i in range(n)]
         for i in range(n):
             dB_sh[i][i, 0] = 1.0
@@ -148,7 +147,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, rel(
             cond_eff(qs, sparse, Xs),
             linearized_sup_oracle(A, Xs, [t.matrix for t in eff],
-                                  natural_term_weights(eff), dBs, fs)))
+                                  [1.0] * len(eff), dBs, fs)))
 
         # tangent-parameterized representation (needs order >= 3)
         if n >= 3:
@@ -161,7 +160,7 @@ def test_criterion_2_oracle_equivalence():
             worst = max(worst, rel(
                 cond_gv(gv, grhs, Xg),
                 linearized_sup_oracle(Ag, Xg, [t.matrix for t in gterms],
-                                      natural_term_weights(gterms),
+                                      [1.0] * len(gterms),
                                       [S for S, _ in grhs.terms],
                                       [abs(w) for _, w in grhs.terms])))
     elapsed = time.perf_counter() - start
@@ -248,16 +247,13 @@ def test_criterion_5_derivative_correctness():
         rng = np.random.default_rng(9000 + idx)
         qs = make_qs(n, rng)
         for t in qs_weighted_derivatives(qs):
-            approx = fd(qs, t.family, t.index, qs_offset, qs_materialize)
-            if t.family != "d":  # weighted forms absorb the parameter value
-                approx = approx * t.value
+            # weighted forms absorb the parameter value
+            approx = fd(qs, t.family, t.index, qs_offset, qs_materialize) * t.value
             scale = max(np.max(np.abs(t.matrix)), 1e-300)
             worst = max(worst, np.max(np.abs(t.matrix - approx)) / scale)
         gv = make_gv(n, rng)
         for t in gv_weighted_derivatives(gv):
-            approx = fd(gv, t.family, t.index, gv_offset, gv_materialize)
-            if t.family != "d":
-                approx = approx * t.value
+            approx = fd(gv, t.family, t.index, gv_offset, gv_materialize) * t.value
             scale = max(np.max(np.abs(t.matrix)), 1e-300)
             worst = max(worst, np.max(np.abs(t.matrix - approx)) / scale)
     ok = worst <= 1e-6

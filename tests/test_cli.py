@@ -55,6 +55,10 @@ class TestMaterialize:
         assert main(["materialize", bad]) == 2
         assert "'p'" in capsys.readouterr().err
 
+    def test_directory_path(self, tmp_path, capsys):
+        assert main(["materialize", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_gv_autodetect(self, tmp_path, capsys):
         gv = {"n": 3, "l": [0], "v": [0, 0], "d": [1, 1, 1], "w": [0, 0], "u": [0]}
         path = write(tmp_path, "gv.json", json.dumps(gv))
@@ -103,6 +107,22 @@ class TestCond:
         rhs = write(tmp_path, "B.json", json.dumps(rhs_doc))
         assert main(["cond", identity_qs, rhs]) == 2
         assert message in capsys.readouterr().err
+
+    def test_rhs_weight_matrix_shape_checked(self, identity_qs, tmp_path, capsys):
+        """An explicit F for a sparse RHS must have the shape of B."""
+        rhs = write(tmp_path, "B.json", json.dumps(
+            {"n": 5, "m": 3, "terms": [{"i": 1, "j": 1, "omega": 1.0}, {"i": 4, "j": 3, "omega": 2.0}]}))
+        e = {f: [1.0] * k for f, k in zip("paqdgbh", (4, 3, 4, 5, 4, 3, 4))}
+        for F in (np.zeros((5, 1)), np.zeros((5, 2))):
+            wfile = write(tmp_path, "w.json", json.dumps({"e": e, "f": [1.0, 2.0], "F": F.tolist()}))
+            assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
+            assert "dense RHS weight matrix missing or mismatched" in capsys.readouterr().err
+
+    def test_directory_paths(self, identity_qs, tmp_path, capsys):
+        rhs = write(tmp_path, "B.csv", "\n".join(["1.0,1.0"] * 5))
+        for argv in ([str(tmp_path), rhs], [identity_qs, str(tmp_path)], [str(tmp_path), str(tmp_path)]):
+            assert main(["cond", *argv]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_weight_families_not_an_object(self, identity_qs, tmp_path, capsys):
         rhs = write(tmp_path, "B.csv", "\n".join(["1.0,1.0"] * 5))
@@ -155,11 +175,9 @@ class TestVerify:
     def test_n_too_large(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
 
-    def test_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSCOND_THREADS", "2")
-        assert main(["verify", "--trials", "2", "--n", "2"]) == 0
-        monkeypatch.setenv("QSCOND_THREADS", "zebra")
-        assert main(["verify", "--trials", "2", "--n", "2"]) == 2
+    def test_zero_rhs_columns(self, capsys):
+        assert main(["verify", "--m", "0"]) == 2
+        assert "--m >= 1" in capsys.readouterr().err
 
 
 class TestReproduce:

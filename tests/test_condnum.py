@@ -29,8 +29,7 @@ from qscond.cli import main
 from qscond.condnum import matrix_inverse
 from qscond.experiments import gen_illscaled_qs, gen_sparse_rhs
 from qscond.io import params_to_json_dict, rhs_from_text
-from qscond.qsrep import gv_tangent_to_trig, split_lower_diag_upper
-from qscond.sensitivity import natural_term_weights
+from qscond.qsrep import gv_tangent_to_trig
 
 from conftest import make_gv, make_qs
 
@@ -66,7 +65,7 @@ def block_rhs_term(Ainv, rhs, weights):
 
 def block_generator_terms(params, weights, Ainv, A, X, fams):
     """Diagonal and generator-vector terms; fams maps family -> (kind, lead)."""
-    AL, _, AU = split_lower_diag_upper(A)
+    AL, AU = np.tril(A, -1), np.triu(A, 1)
     absAinv = np.abs(Ainv)
     Dd = np.abs(params.d) if weights.natural else weights.e["d"]
     total = absAinv @ (Dd[:, None] * np.abs(X))
@@ -117,8 +116,7 @@ def block_cond_gv(params, rhs, X, weights=None):
     total += block_generator_terms(params, weights, Ainv, A, X, {"v": ("col", False), "w": ("row", False)})
     rl = block_ratio(weights.e.get("l"), params.l, weights.natural, "l")
     ru = block_ratio(weights.e.get("u"), params.u, weights.natural, "u")
-    trig = gv_tangent_to_trig(params)
-    s, t = trig.s, trig.t
+    _, s, _, t = gv_tangent_to_trig(params)
     for i in range(2, n):  # one-based rotation index
         if rl[i - 2] != 0.0:
             M = np.zeros((n, n))
@@ -399,7 +397,7 @@ class TestCondGv:
             A,
             X,
             [t.matrix for t in terms],
-            natural_term_weights(terms),
+            np.ones(len(terms)),
             [S for S, _ in rhs.terms],
             [abs(w) for _, w in rhs.terms],
             enumerate_signs=False,
@@ -546,7 +544,7 @@ class TestRankOneCore:
         qs = make_qs(n, rng)
         A = qs_materialize(qs)
         Ainv = matrix_inverse(A)
-        AL, AD, AU = split_lower_diag_upper(A)
+        AL, AD, AU = np.tril(A, -1), np.diag(np.diag(A)), np.triu(A, 1)
         for rhs in rhs_cases(n, rng)[:2]:
             X = solve(A, rhs)
             R = block_rhs_term(Ainv, rhs, WeightSpec())

@@ -144,3 +144,5 @@ class TestRunTable:
             ExperimentConfig(rho=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            ExperimentConfig(m=0)

@@ -15,7 +15,6 @@ from qscond.oracle import (
     sampled_ratio_lower_bound,
     worst_sign_pattern,
 )
-from qscond.sensitivity import natural_term_weights
 
 from conftest import make_gv, make_qs
 
@@ -65,7 +64,7 @@ class TestLinearizedOracle:
             A,
             X,
             [t.matrix for t in terms],
-            natural_term_weights(terms),
+            np.ones(len(terms)),
             [S for S, _ in rhs.terms],
             [abs(w) for _, w in rhs.terms],
         )
@@ -82,7 +81,7 @@ class TestLinearizedOracle:
             A,
             X,
             [t.matrix for t in terms],
-            natural_term_weights(terms),
+            np.ones(len(terms)),
             [S for S, _ in rhs.terms],
             [abs(w) for _, w in rhs.terms],
         )
@@ -134,7 +133,7 @@ class TestSampledLowerBound:
             A,
             X,
             [t.matrix for t in terms],
-            natural_term_weights(terms),
+            np.ones(len(terms)),
             [S for S, _ in rhs.terms],
             [abs(v) for _, v in rhs.terms],
         )
@@ -142,7 +141,7 @@ class TestSampledLowerBound:
         # by eta*|omega|: flip the planted sign where the parameter is negative
         planted = signs.copy()
         for k, t in enumerate(terms):
-            if t.family != "d" and t.value < 0:
+            if t.value < 0:
                 planted[k] = -planted[k]
         got = sampled_ratio_lower_bound(
             A_of, B_of, flat0, w, 1e-8, trials=1, seed=0, planted_signs=planted

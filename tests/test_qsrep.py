@@ -12,7 +12,6 @@ from qscond import (
     qs_from_dense,
     qs_materialize,
     qs_matvec,
-    split_lower_diag_upper,
 )
 
 from qscond.experiments import gen_illscaled_qs
@@ -89,20 +88,20 @@ class TestQsMaterialize:
 class TestGvTrig:
     def test_zero_tangent(self):
         gv = GvTangentParams(l=[0.0], v=[1, 1], d=[1, 1, 1], w=[1, 1], u=[0.0])
-        trig = gv_tangent_to_trig(gv)
-        assert trig.c[0] == 1.0 and trig.s[0] == 0.0
+        c, s, r, t = gv_tangent_to_trig(gv)
+        assert c[0] == 1.0 and s[0] == 0.0 and r[0] == 1.0 and t[0] == 0.0
 
     def test_unit_tangent(self):
         gv = GvTangentParams(l=[1.0], v=[1, 1], d=[1, 1, 1], w=[1, 1], u=[1.0])
-        trig = gv_tangent_to_trig(gv)
-        assert trig.c[0] == pytest.approx(1 / np.sqrt(2), rel=1e-15)
-        assert trig.s[0] == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+        c, s, _, _ = gv_tangent_to_trig(gv)
+        assert c[0] == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+        assert s[0] == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
     def test_tangent_three(self):
         gv = GvTangentParams(l=[3.0], v=[1, 1], d=[1, 1, 1], w=[1, 1], u=[3.0])
-        trig = gv_tangent_to_trig(gv)
-        assert trig.c[0] == pytest.approx(0.31622776601683794, rel=1e-14)
-        assert trig.s[0] == pytest.approx(0.9486832980505138, rel=1e-14)
+        c, s, _, _ = gv_tangent_to_trig(gv)
+        assert c[0] == pytest.approx(0.31622776601683794, rel=1e-14)
+        assert s[0] == pytest.approx(0.9486832980505138, rel=1e-14)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8))
     def test_pythagorean_identity(self, tangents):
@@ -110,10 +109,10 @@ class TestGvTrig:
         gv = GvTangentParams(
             l=tangents, v=np.ones(n - 1), d=np.ones(n), w=np.ones(n - 1), u=tangents
         )
-        trig = gv_tangent_to_trig(gv)
+        c, s, r, t = gv_tangent_to_trig(gv)
         eps = np.finfo(float).eps
-        assert np.all(np.abs(trig.c**2 + trig.s**2 - 1.0) <= 4 * eps)
-        assert np.all(np.abs(trig.r**2 + trig.t**2 - 1.0) <= 4 * eps)
+        assert np.all(np.abs(c**2 + s**2 - 1.0) <= 4 * eps)
+        assert np.all(np.abs(r**2 + t**2 - 1.0) <= 4 * eps)
 
 
 class TestGvMaterialize:
@@ -129,8 +128,8 @@ class TestGvMaterialize:
     def test_bit_identical_to_scalar_walk(self, rng):
         for n in (3, 4, 20):
             gv = make_gv(n, rng)
-            t = gv_tangent_to_trig(gv)
-            expected = scalar_fill(t.d, np.append(t.c, 1.0), t.s, t.v, t.w, t.t, np.append(t.r, 1.0))
+            c, s, r, t = gv_tangent_to_trig(gv)
+            expected = scalar_fill(gv.d, np.append(c, 1.0), s, gv.v, gv.w, t, np.append(r, 1.0))
             assert np.array_equal(gv_materialize(gv), expected)
 
     def test_matches_qs_route(self, rng):
@@ -149,11 +148,11 @@ class TestGvToQs:
     def test_hand_mapping_n3(self):
         gv = GvTangentParams(l=[1.0], v=[2, 3], d=[1, 1, 1], w=[1, 1], u=[0.5])
         qs = gv_to_qs(gv)
-        trig = gv_tangent_to_trig(gv)
-        np.testing.assert_allclose(qs.p, [trig.c[0], 1.0])
-        np.testing.assert_allclose(qs.a, [trig.s[0]])
+        c, s, r, _ = gv_tangent_to_trig(gv)
+        np.testing.assert_allclose(qs.p, [c[0], 1.0])
+        np.testing.assert_allclose(qs.a, [s[0]])
         np.testing.assert_array_equal(qs.q, gv.v)
-        np.testing.assert_allclose(qs.h, [trig.r[0], 1.0])
+        np.testing.assert_allclose(qs.h, [r[0], 1.0])
 
 
 class TestQsFromDense:
@@ -211,14 +210,32 @@ class TestQsMatvec:
 
 
 class TestSplit:
+    """The strictly lower part of A is the matrix of p, a, q alone, the
+    diagonal that of d, and the strictly upper part that of g, b, h."""
+
+    @staticmethod
+    def parts(qs):
+        out = []
+        for fams in ("paq", "d", "gbh"):
+            part = qs.copy()
+            for f in "paqdgbh":
+                if f not in fams:
+                    getattr(part, f)[:] = 0.0
+            out.append(qs_materialize(part))
+        return out
+
     def test_identity(self):
-        L, D, U = split_lower_diag_upper(np.eye(3))
+        qs = QsParams(p=[0, 0], a=[0], q=[0, 0], d=[1, 1, 1], g=[0, 0], b=[0], h=[0, 0])
+        L, D, U = self.parts(qs)
         np.testing.assert_array_equal(L, np.zeros((3, 3)))
         np.testing.assert_array_equal(D, np.eye(3))
         np.testing.assert_array_equal(U, np.zeros((3, 3)))
 
     def test_sum_reconstructs(self, rng):
-        A = rng.standard_normal((5, 5))
-        L, D, U = split_lower_diag_upper(A)
+        qs = make_qs(5, rng)
+        A = qs_materialize(qs)
+        L, D, U = self.parts(qs)
+        np.testing.assert_array_equal(L, np.tril(A, -1))
+        np.testing.assert_array_equal(D, np.diag(np.diag(A)))
+        np.testing.assert_array_equal(U, np.triu(A, 1))
         np.testing.assert_array_equal(L + D + U, A)
-        assert np.all(np.triu(L) == 0) and np.all(np.tril(U) == 0)

@@ -11,7 +11,6 @@ from qscond import (
     qs_derivatives,
     qs_materialize,
     qs_weighted_derivatives,
-    solution_directional_derivative,
 )
 
 from conftest import make_gv, make_qs
@@ -60,10 +59,19 @@ class TestQsDerivatives:
         qs = make_qs(6, rng)
         for tu, tw in zip(qs_derivatives(qs), qs_weighted_derivatives(qs)):
             assert (tu.family, tu.index) == (tw.family, tw.index)
-            if tu.family == "d":
-                np.testing.assert_array_equal(tu.matrix, tw.matrix)
-            else:
-                np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, atol=1e-13)
+            np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, atol=1e-13)
+
+    def test_weighted_term_is_A_minus_A_without_parameter(self, rng):
+        """omega * dA/domega = A - A(omega:=0) bit for bit, d included."""
+        for n in (2, 3, 6):
+            qs = make_qs(n, rng)
+            A = qs_materialize(qs)
+            for t in qs_weighted_derivatives(qs):
+                zeroed = qs.copy()
+                getattr(zeroed, t.family)[t.index - QS_OFFSET[t.family]] = 0.0
+                np.testing.assert_array_equal(
+                    t.matrix, A - qs_materialize(zeroed), err_msg=f"{t.family}_{t.index}"
+                )
 
     def test_a2_block_placement(self, rng):
         qs = make_qs(4, rng)
@@ -115,10 +123,7 @@ class TestGvDerivatives:
         gv = make_gv(6, rng)
         for tu, tw in zip(gv_derivatives(gv), gv_weighted_derivatives(gv)):
             assert (tu.family, tu.index) == (tw.family, tw.index)
-            if tu.family == "d":
-                np.testing.assert_array_equal(tu.matrix, tw.matrix)
-            else:
-                np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, atol=1e-12)
+            np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, atol=1e-12)
 
     def test_zero_tangent_term(self, rng):
         gv = make_gv(5, rng)
@@ -132,22 +137,23 @@ class TestGvDerivatives:
 
     def test_u2_structure_n4(self, rng):
         gv = make_gv(4, rng)
-        from qscond import gv_tangent_to_trig
-
-        trig = gv_tangent_to_trig(gv)
+        _, _, r, t = gv_tangent_to_trig(gv)
         A = gv_materialize(gv)
-        term = next(t for t in gv_weighted_derivatives(gv) if t.family == "u" and t.index == 2)
+        term = next(term for term in gv_weighted_derivatives(gv) if term.family == "u" and term.index == 2)
         expected = np.zeros((4, 4))
-        expected[:1, 1] = -trig.t[0] ** 2 * A[:1, 1]
-        expected[:1, 2:] = trig.r[0] ** 2 * A[:1, 2:]
+        expected[:1, 1] = -t[0] ** 2 * A[:1, 1]
+        expected[:1, 2:] = r[0] ** 2 * A[:1, 2:]
         np.testing.assert_allclose(term.matrix, expected, atol=1e-14)
 
 
 def support(family, i, n):
-    """(head, block) masks of a weighted term: the row or column that holds
-    the parameter's own factor, and the block below or right of it that
-    holds the transfer coefficient (QS a/b, GV l/u) or nothing."""
+    """(head, block) masks of a weighted term: the diagonal entry, row or
+    column that holds the parameter's own factor, and the block below or
+    right of it that holds the transfer coefficient (QS a/b, GV l/u) or
+    nothing."""
     head, block = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    if family == "d":
+        head[i - 1, i - 1] = True
     if family in ("p", "l"):
         head[i - 1, : i - 1] = True
     if family in ("a", "l"):
@@ -187,12 +193,6 @@ class TestZeroParameters:
             fd = fd_matrix(params, tu.family, tu.index, offsets[tu.family], materialize)
             scale = max(np.max(np.abs(fd)), 1.0)
             assert np.max(np.abs(tu.matrix - fd)) <= 1e-6 * scale, (tu.family, tu.index)
-            if tu.family == "d":
-                unit = np.zeros((n, n))
-                unit[tu.index - 1, tu.index - 1] = 1.0
-                np.testing.assert_array_equal(tu.matrix, unit)
-                np.testing.assert_array_equal(tw.matrix, unit)
-                continue
             np.testing.assert_allclose(tu.value * tu.matrix, tw.matrix, rtol=1e-12, atol=1e-13)
             head, block = support(tu.family, tu.index, n)
             ch, cb = coefs(tu.family, tu.index)
@@ -210,8 +210,7 @@ class TestZeroParameters:
     @settings(max_examples=40, deadline=None)
     @given(params_with_zeros(gv=True))
     def test_gv(self, gv):
-        trig = gv_tangent_to_trig(gv)
-        s2, c2, t2, r2 = (x**2 for x in (trig.s, trig.c, trig.t, trig.r))
+        c2, s2, r2, t2 = (x**2 for x in gv_tangent_to_trig(gv))
 
         def coefs(family, i):
             if family == "l":
@@ -224,28 +223,34 @@ class TestZeroParameters:
 
 
 class TestSolutionDerivative:
+    """The first-order change of X = A^{-1} B along (dA, dB) is
+    A^{-1} (dB - dA X): checked against perturbed solves."""
+
     def test_rhs_only(self, rng):
         A = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-        X = rng.standard_normal((3, 2))
+        B = rng.standard_normal((3, 2))
         dB = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(
-            solution_directional_derivative(A, X, dB=dB), np.linalg.solve(A, dB)
-        )
+        step = 1e-3  # X is affine in B
+        fd = (np.linalg.solve(A, B + step * dB) - np.linalg.solve(A, B)) / step
+        np.testing.assert_allclose(fd, np.linalg.solve(A, dB), rtol=1e-9, atol=1e-12)
 
     def test_matrix_only(self, rng):
         A = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-        X = rng.standard_normal((3, 2))
+        B = rng.standard_normal((3, 2))
+        X = np.linalg.solve(A, B)
         dA = rng.standard_normal((3, 3))
-        np.testing.assert_allclose(
-            solution_directional_derivative(A, X, dA=dA), -np.linalg.solve(A, dA @ X)
-        )
+        step = 1e-6
+        fd = (np.linalg.solve(A + step * dA, B) - np.linalg.solve(A - step * dA, B)) / (2 * step)
+        np.testing.assert_allclose(fd, -np.linalg.solve(A, dA @ X), rtol=1e-6, atol=1e-8)
 
     def test_identity_case(self):
         B = np.arange(6.0).reshape(3, 2)
         dA = np.zeros((3, 3))
         dA[0, 0] = 1.0
-        out = solution_directional_derivative(np.eye(3), B, dA=dA)
-        np.testing.assert_allclose(out, -dA @ B)
+        step = 1e-6  # (I + t dA)^{-1} B scales row 0 of B by 1/(1+t)
+        I = np.eye(3)
+        fd = (np.linalg.solve(I + step * dA, B) - np.linalg.solve(I - step * dA, B)) / (2 * step)
+        np.testing.assert_allclose(fd, -dA @ B, atol=1e-8)
 
     def test_against_finite_difference(self, rng):
         """Perturb one QS parameter and compare the predicted dX."""
@@ -262,5 +267,5 @@ class TestSolutionDerivative:
         fd = (
             np.linalg.solve(qs_materialize(hi), B) - np.linalg.solve(qs_materialize(lo), B)
         ) / (2 * step)
-        pred = solution_directional_derivative(A, X, dA=term.matrix)
+        pred = -np.linalg.solve(A, term.matrix @ X)
         assert np.max(np.abs(pred - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1.0)
