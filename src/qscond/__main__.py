@@ -1,0 +1,8 @@
+"""``python -m qscond``: the command-line interface of :mod:`qscond.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -116,7 +116,7 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     devs["qs"] = rel(report.k_qs, sup(A, X, [t.matrix for t in terms], rhs))
     eff = [t.matrix for t in terms if t.family not in ("a", "b")]
     devs["eff"] = rel(report.k_eff, sup(A, X, eff, rhs))
-    brute = sup(A, X, list(np.diag(A.ravel()).reshape(-1, n, n)), rhs)
+    brute = sup(A, X, np.diag(A.ravel()).reshape(-1, n, n), rhs)
     devs["unstructured"] = rel(report.k_unstructured, brute)
     devs["unstructured_sparse"] = rel(report.k_unstructured_sparse, brute)
     if n >= 3:
@@ -154,8 +154,8 @@ def cmd_verify(args) -> int:
         raise io.InputError("no trials")
     if args.m < 1:
         raise io.InputError("verify requires --m >= 1")
-    if args.n > 4:
-        raise io.InputError("oracle verification requires n <= 4")
+    if not 2 <= args.n <= 4:
+        raise io.InputError("oracle verification requires 2 <= n <= 4")
     seeds = range(args.seed, args.seed + args.trials)
     oracle_devs = [_verify_oracle_instance(s, args.n, args.m) for s in seeds]
     ineq_bad = [_verify_inequality_instance(s, args.n, args.m) for s in seeds]

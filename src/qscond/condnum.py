@@ -9,6 +9,7 @@ condition number.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -61,12 +62,10 @@ class SparseRhs:
         """Trivial expansion with one unit pattern per nonzero entry."""
         B = np.asarray(B, dtype=float)
         n, m = B.shape
-        terms = []
-        for i, j in zip(*np.nonzero(B)):
-            S = np.zeros((n, m))
-            S[i, j] = 1.0
-            terms.append((S, B[i, j]))
-        return cls(n=n, m=m, terms=terms)
+        i, j = np.nonzero(B)
+        S = np.zeros((i.size, n, m))  # the patterns are views of one stack
+        S[np.arange(i.size), i, j] = 1.0
+        return cls(n=n, m=m, terms=list(zip(S, B[i, j])))
 
 
 @dataclass
@@ -231,11 +230,33 @@ class _System:
 
 
 # Where each QS generator family sits in the generator system E: the
-# (row, column) of its first generator and the sign it enters with.  The
-# k-th generator of a family sits 3k rows and columns further on.
-_PLACE = {"d": (1, 1, 1.0), "p": (4, 3, 1.0), "g": (1, 2, 1.0), "q": (3, 1, -1.0),
-          "a": (6, 3, -1.0), "h": (2, 4, -1.0), "b": (2, 5, -1.0)}
+# (row, column) of its first generator, the sign it enters with and how many
+# fewer than n generators it has.  The k-th generator of a family sits 3k
+# rows and columns further on.
+_PLACE = {"d": (1, 1, 1.0, 0), "p": (4, 3, 1.0, 1), "g": (1, 2, 1.0, 1), "q": (3, 1, -1.0, 1),
+          "a": (6, 3, -1.0, 2), "h": (2, 4, -1.0, 1), "b": (2, 5, -1.0, 2)}
 _BAND = 3  # sub- and superdiagonals of E
+
+
+@functools.lru_cache(maxsize=32)
+def _index_map(n: int, m: int):
+    """Where the 7n-8 generators of order n sit in E, in ``_PLACE`` order.
+
+    Returns their rows R and columns C in E, the signs they enter with,
+    the flat positions of the entries of rows R in a (3n, m) array
+    (R[k] m + j, generator by generator), and each family's slice of that
+    order.  The arrays are read-only, since every caller shares them.
+    """
+    counts = [n - short for _, _, _, short in _PLACE.values()]
+    R = np.concatenate([r + 3 * np.arange(k) for (r, _, _, _), k in zip(_PLACE.values(), counts)])
+    C = np.concatenate([c + 3 * np.arange(k) for (_, c, _, _), k in zip(_PLACE.values(), counts)])
+    signs = np.repeat([sign for _, _, sign, _ in _PLACE.values()], counts)
+    flat = (R[:, None] * m + np.arange(m)).ravel()
+    ends = np.cumsum(counts)
+    spans = {f: slice(end - k, end) for f, k, end in zip(_PLACE, counts, ends)}
+    for a in (R, C, signs, flat):
+        a.flags.writeable = False
+    return R, C, signs, flat, spans
 
 
 class _Embedded:
@@ -260,12 +281,9 @@ class _Embedded:
 
     def __init__(self, qs: QsParams, X=None, B=None):
         n, self.qs = qs.n, qs
-        self.entries = [(r, c, sign * getattr(qs, f)) for f, (r, c, sign) in _PLACE.items()]
-        ab = np.zeros((3 * _BAND + 1, 3 * n))  # E[i, j] at ab[2 * _BAND + i - j, j]
-        ab[2 * _BAND, 0::3] = ab[2 * _BAND, 2::3] = 1.0
-        for r, c, v in self.entries:
-            ab[2 * _BAND + r - c, c::3][: v.size] = v
-        lu, piv, info = dgbtrf(ab, _BAND, _BAND)
+        self.R, self.C, signs, self.flat, self.spans = _index_map(n, np.shape(B if X is None else X)[1])
+        self.vals = np.concatenate([getattr(qs, f) for f in _PLACE]) * signs
+        lu, piv, info = dgbtrf(self._band(), _BAND, _BAND)
         if info > 0:
             raise ValueError("singular coefficient matrix")
         unit = np.zeros((3 * n, n))
@@ -288,11 +306,12 @@ class _Embedded:
             S = np.zeros((3 * n, X.shape[1]))
             S[1::3] = X
             z, y = S[0::3], S[2::3]
-            a, b = np.append(0.0, qs.a), np.append(qs.b, 0.0)
+            a, b = [0.0, *qs.a.tolist()], [*qs.b.tolist(), 0.0]
+            qX, hX = qs.q[:, None] * X[:-1], qs.h[:, None] * X[1:]
             for r in range(1, n):
-                z[r] = a[r - 1] * z[r - 1] + qs.q[r - 1] * X[r - 1]
+                z[r] = a[r - 1] * z[r - 1] + qX[r - 1]
             for r in range(n - 2, -1, -1):
-                y[r] = b[r] * y[r + 1] + qs.h[r] * X[r + 1]
+                y[r] = b[r] * y[r + 1] + hX[r]
             if not np.all(np.isfinite(S)):
                 raise ArithmeticError("the generator sweeps overflow for the given X")
         self.S, self.absS = S, np.abs(S)
@@ -301,24 +320,40 @@ class _Embedded:
         self.absG = np.abs(self.G)
         self.Ainv, self.absAinv = self.G[:, 1::3], np.ascontiguousarray(self.absG[:, 1::3])
 
+    def _band(self) -> np.ndarray:
+        """E in LAPACK band storage with room for the fill of dgbtrf."""
+        ab = np.zeros((3 * _BAND + 1, 3 * self.qs.n))  # E[i, j] at ab[2 * _BAND + i - j, j]
+        ab[2 * _BAND, 0::3] = ab[2 * _BAND, 2::3] = 1.0
+        ab[2 * _BAND + self.R - self.C, self.C] = self.vals
+        return ab
+
+    def _accumulate(self, out: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Adds w_k S[C_k] to row R_k of the C-ordered ``out``, for every generator k.
+
+        ``np.add.at`` adds in index order, so each row sums its families in
+        ``_PLACE`` order; the flat indices keep it on numpy's 1-d fast path.
+        """
+        np.add.at(out.reshape(-1), self.flat, (w[:, None] * S[self.C]).reshape(-1))
+        return out
+
     def _times(self, S: np.ndarray, absolute: bool = False) -> np.ndarray:
         """E S, or |E| S with ``absolute``."""
         out = S.copy()
         out[1::3] = 0.0
-        for r, c, v in self.entries:
-            out[r::3][: v.size] += (np.abs(v) if absolute else v)[:, None] * S[c::3][: v.size]
-        return out
+        return self._accumulate(out, np.abs(self.vals) if absolute else self.vals, S)
 
-    def place(self, w: dict[str, np.ndarray]) -> np.ndarray:
-        """W|S|: row R_k holds w_k |S[C_k]| summed over the families in ``w``."""
-        M = np.zeros_like(self.S)
-        for f, wf in w.items():
-            r, c, _ = _PLACE[f]
-            M[r::3][: wf.size] += wf[:, None] * self.absS[c::3][: wf.size]
-        return M
+    def place(self, w: np.ndarray) -> np.ndarray:
+        """W|S|: row R_k holds w_k |S[C_k]|, for the weight vector ``w`` over the generators.
+
+        W|S| takes the memory order of S, since BLAS may round |G|·(W|S|)
+        differently for the two orders.
+        """
+        M = self._accumulate(np.zeros(self.S.shape), w, self.absS)
+        return np.asfortranarray(M) if self.S.flags.f_contiguous else M
 
     def k(self, total: np.ndarray) -> float:
-        return _mx(total) / self.norm
+        """max(total) / max|X|; every total is a nonnegative sum."""
+        return float(total.max()) / self.norm
 
 
 def _family_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.ndarray:
@@ -374,7 +409,12 @@ def _entry_term(s, E=None) -> np.ndarray:
 
 def _k_qs(s: _Embedded, rhs_term: np.ndarray, weights: WeightSpec, families=_PLACE) -> float:
     """k_qs over the generators the system was built from, or over ``families`` of them."""
-    w = {f: _family_weights(weights, getattr(s.qs, f), f) for f in families}
+    if weights.natural:
+        w = np.abs(s.vals)
+    else:
+        w = np.concatenate([_family_weights(weights, getattr(s.qs, f), f) for f in _PLACE])
+    for f in _PLACE.keys() - set(families):
+        w[s.spans[f]] = 0.0
     return s.k(s.absG @ s.place(w) + rhs_term)
 
 
@@ -388,7 +428,10 @@ def _k_gv(s: _Embedded, gv: GvTangentParams, rhs_term: np.ndarray, weights: Weig
     """
     k = gv.n - 2
     w = {f: _family_weights(weights, getattr(gv, f), f) for f in "lvdwu"}
-    M = s.place({q: w[f] for f, q in zip("vdw", "qdg")})
+    wq = np.zeros_like(s.vals)
+    for f, q in zip("vdw", "qdg"):
+        wq[s.spans[q]] = w[f]
+    M = s.place(wq)
     c, sn, r, t = gv_tangent_to_trig(gv)
     Su = (r * r * r)[:, None] * s.S[5::3][:k] - (t * r * r)[:, None] * s.S[4::3][:k]
     M[2::3][:k] += w["u"][:, None] * np.abs(Su)
@@ -509,9 +552,10 @@ def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | 
     materialized A enters only the unstructured values, and a non-finite A
     is refused as an overflow.  ``weights`` (natural by default) applies
     to ``k_qs``, ``k_gv`` and the RHS of the unstructured values, where a
-    given ``F`` must have the shape of B; ``k_eff`` is parameter-free.  For a GV source the parameter weights name the GV
-    families, so ``k_qs`` of the embedded generators keeps natural
-    generator weights; its RHS weights are still the explicit ones.
+    given ``F`` must have the shape of B; ``k_eff`` is parameter-free.
+    For a GV source the parameter weights name the GV families, so
+    ``k_qs`` of the embedded generators keeps natural generator weights;
+    its RHS weights are still the explicit ones.
     """
     weights = weights or WeightSpec()
     gv = source if isinstance(source, GvTangentParams) else None

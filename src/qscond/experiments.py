@@ -38,6 +38,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be at least {min_n} for {self.generator}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        if self.n * self.m * self.rho < 1.0:  # else run_table redraws an empty sparse RHS for ever
+            raise ValueError("n*m*rho, the expected number of nonzeros of the sparse RHS, must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 

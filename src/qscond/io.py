@@ -126,8 +126,10 @@ def rhs_from_text(text: str):
         for key in ("n", "m", "terms"):
             if key not in obj:
                 raise InputError(f"sparse RHS object missing field {key!r}")
+        # json reads a number as int or float and true/false as bool, so a
+        # JSON integer is exactly type int
         for key in ("n", "m"):
-            if not isinstance(obj[key], int) or obj[key] < 1:
+            if type(obj[key]) is not int or obj[key] < 1:
                 raise InputError(f"sparse RHS field {key!r} must be an integer >= 1")
         n, m = obj["n"], obj["m"]
         if not isinstance(obj["terms"], list):
@@ -135,9 +137,12 @@ def rhs_from_text(text: str):
         terms = []
         for k, t in enumerate(obj["terms"]):
             try:
-                i, j, omega = int(t["i"]), int(t["j"]), float(t["omega"])
-            except (KeyError, TypeError, ValueError) as exc:
+                i, j, omega = t["i"], t["j"], t["omega"]
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"sparse RHS term {k} malformed: {exc}") from exc
+            if type(i) is not int or type(j) is not int or type(omega) not in (int, float):
+                raise InputError(f"sparse RHS term {k} malformed: i and j must be integers, omega a number")
+            omega = float(omega)
             if not (1 <= i <= n and 1 <= j <= m):
                 raise InputError(f"sparse RHS term {k} index ({i},{j}) out of range")
             if not np.isfinite(omega):

@@ -19,17 +19,23 @@ ENUMERATION_BUDGET = 22
 AUTO_ENUMERATION_LIMIT = 14
 
 
-def _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared) -> list[np.ndarray]:
-    """Weighted first-order solution-perturbation matrix per free parameter."""
+def _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared) -> np.ndarray:
+    """Weighted first-order solution-perturbation matrices, one (K, n, m) stack.
+
+    The derivative terms may be lists of matrices or stacks; the shared
+    parameters come first, then the A-only and the B-only ones.
+    """
     N, M = len(dA_terms), len(dB_terms)
     if len(e) != N or len(f) != M:
         raise ValueError("weight vector length does not match derivative count")
     Ainv = np.linalg.inv(np.asarray(A, dtype=float))
-    X = np.asarray(X, dtype=float)
-    T = [(-Ainv @ dA_terms[k] @ X + Ainv @ dB_terms[k]) * e[k] for k in range(n_shared)]
-    T += [-Ainv @ dA_terms[k] @ X * e[k] for k in range(n_shared, N)]
-    T += [Ainv @ dB_terms[k] * f[k] for k in range(n_shared, M)]
-    return T
+    X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    n, m = X.shape
+    dA = -Ainv @ np.asarray(dA_terms, dtype=float).reshape(N, n, n) @ X
+    dB = Ainv @ np.asarray(dB_terms, dtype=float).reshape(M, n, m)
+    dA[:n_shared] += dB[:n_shared]
+    dA *= np.asarray(e, dtype=float).reshape(N, 1, 1)
+    return np.concatenate([dA, dB[n_shared:] * np.asarray(f, dtype=float)[n_shared:, None, None]])
 
 
 def linearized_sup_oracle(
@@ -60,20 +66,21 @@ def linearized_sup_oracle(
     if norm == 0.0:
         raise ValueError("zero solution")
     T = _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared)
+    K = len(T)
     if enumerate_signs == "auto":
-        enumerate_signs = len(T) <= AUTO_ENUMERATION_LIMIT
-    elif enumerate_signs and len(T) > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {len(T)} > {ENUMERATION_BUDGET}")
+        enumerate_signs = K <= AUTO_ENUMERATION_LIMIT
+    elif enumerate_signs and K > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {K} > {ENUMERATION_BUDGET}")
 
-    entrywise = float(np.max(sum(np.abs(Tk) for Tk in T))) / norm if T else 0.0
-    if not enumerate_signs or not T:
+    entrywise = float(np.max(np.abs(T).sum(axis=0))) / norm if K else 0.0
+    if not enumerate_signs or not K:
         return entrywise
 
-    flat = np.stack([Tk.ravel() for Tk in T])  # (K, n*m)
+    flat = T.reshape(K, -1)  # (K, n*m)
     best = 0.0
-    codes = np.arange(2 ** len(T), dtype=np.uint64)
+    codes = np.arange(2**K, dtype=np.uint64)
     for chunk in np.array_split(codes, max(1, len(codes) >> 14)):
-        bits = (chunk[:, None] >> np.arange(len(T), dtype=np.uint64)) & 1
+        bits = (chunk[:, None] >> np.arange(K, dtype=np.uint64)) & 1
         signs = 2.0 * bits.astype(float) - 1.0  # (chunk, K)
         best = max(best, float(np.max(np.abs(signs @ flat))))
     best /= norm
@@ -95,9 +102,9 @@ def worst_sign_pattern(
 ) -> np.ndarray:
     """Sign vector attaining the linearized sup, for planting into sampling."""
     T = _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared)
-    total = sum(np.abs(Tk) for Tk in T)
+    total = np.abs(T).sum(axis=0)
     i, j = np.unravel_index(np.argmax(total), total.shape)
-    return np.array([1.0 if Tk[i, j] >= 0.0 else -1.0 for Tk in T])
+    return np.where(T[:, i, j] >= 0.0, 1.0, -1.0)
 
 
 def sampled_ratio_lower_bound(

@@ -101,8 +101,19 @@ class TestCond:
         ({"n": "3", "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "'n' must be an integer >= 1"),
         ({"n": 5, "m": 1, "terms": 5}, "'terms' must be a list"),
         ({"n": 4, "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "4 rows, the matrix has order 5"),
-        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": "nan"}]}, "non-finite omega"),
-    ], ids=["n-not-integer", "terms-not-list", "n-not-order", "omega-nan"])
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": float("nan")}]}, "non-finite omega"),
+        ({"n": True, "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "'n' must be an integer >= 1"),
+        ({"n": 5, "m": 1.0, "terms": [{"i": 1, "j": 1, "omega": 1.0}]}, "'m' must be an integer >= 1"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1.7, "j": 1, "omega": 1.0}]}, "sparse RHS term 0 malformed"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": 1.0}, {"i": "2", "j": 1, "omega": 1.0}]},
+         "sparse RHS term 1 malformed"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": True, "omega": 1.0}]}, "sparse RHS term 0 malformed"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": "0.5"}]}, "sparse RHS term 0 malformed"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "j": 1, "omega": False}]}, "sparse RHS term 0 malformed"),
+        ({"n": 5, "m": 1, "terms": [{"i": 1, "omega": 1.0}]}, "sparse RHS term 0 malformed"),
+        ({"n": 5, "m": 1, "terms": [[1, 1, 1.0]]}, "sparse RHS term 0 malformed"),
+    ], ids=["n-not-integer", "terms-not-list", "n-not-order", "omega-nan", "n-bool", "m-float",
+            "i-float", "i-string", "j-bool", "omega-string", "omega-bool", "j-missing", "term-not-object"])
     def test_malformed_sparse_rhs(self, identity_qs, tmp_path, capsys, rhs_doc, message):
         rhs = write(tmp_path, "B.json", json.dumps(rhs_doc))
         assert main(["cond", identity_qs, rhs]) == 2
@@ -175,6 +186,11 @@ class TestVerify:
     def test_n_too_large(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_n_too_small(self, n, capsys):
+        assert main(["verify", "--n", n]) == 2
+        assert "requires 2 <= n <= 4" in capsys.readouterr().err
+
     def test_zero_rhs_columns(self, capsys):
         assert main(["verify", "--m", "0"]) == 2
         assert "--m >= 1" in capsys.readouterr().err
@@ -216,3 +232,8 @@ class TestReproduce:
 
     def test_usage_error(self, capsys):
         assert main(["reproduce"]) == 2
+
+    def test_rhs_without_expected_nonzero(self, capsys):
+        argv = ["reproduce", "--example", "2", "--n", "10", "--m", "1", "--rho", "1e-9", "--trials", "1"]
+        assert main(argv) == 2
+        assert "n*m*rho" in capsys.readouterr().err

@@ -154,6 +154,20 @@ class TestSparseRhs:
         np.testing.assert_array_equal(rhs.materialize(), B)
         assert rhs.num_terms == np.count_nonzero(B)
 
+    def test_from_dense_patterns(self, rng):
+        """One unit pattern per nonzero of B, in row-major order, with its value."""
+        B = rng.standard_normal((4, 3)) * (rng.random((4, 3)) < 0.5)
+        terms = SparseRhs.from_dense(B).terms
+        want = []
+        for i, j in zip(*np.nonzero(B)):
+            S = np.zeros((4, 3))
+            S[i, j] = 1.0
+            want.append((S, B[i, j]))
+        assert len(terms) == len(want)
+        for (S, omega), (S_want, omega_want) in zip(terms, want):
+            np.testing.assert_array_equal(S, S_want)
+            assert omega == omega_want
+
 
 class TestCondUnstructured:
     def test_identity_two(self):
@@ -556,6 +570,54 @@ class TestRankOneCore:
             assert cond_eff(qs, rhs, X) == pytest.approx(np.max(eff) / norm, rel=1e-12)
             unstr = R + absAinv @ np.abs(A) @ absX
             assert cond_unstructuredA_sparseB(A, X, rhs) == pytest.approx(np.max(unstr) / norm, rel=1e-12)
+
+
+class TestIndexMap:
+    """The generator system E built from one index map equals the per-family loops, bit for bit."""
+
+    @staticmethod
+    def families(s):
+        for f, (r, c, sign, _) in condnum._PLACE.items():
+            yield r, c, sign * getattr(s.qs, f)
+
+    def reference_band(self, s):
+        ab = np.zeros((10, 3 * s.qs.n))
+        ab[6, 0::3] = ab[6, 2::3] = 1.0
+        for r, c, v in self.families(s):
+            ab[6 + r - c, c::3][: v.size] = v
+        return ab
+
+    def reference_times(self, s, S, absolute):
+        out = S.copy()
+        out[1::3] = 0.0
+        for r, c, v in self.families(s):
+            out[r::3][: v.size] += (np.abs(v) if absolute else v)[:, None] * S[c::3][: v.size]
+        return out
+
+    def reference_place(self, s, w):
+        M = np.zeros_like(s.S)
+        start = 0
+        for r, c, v in self.families(s):
+            wf = w[start:start + v.size]
+            start += v.size
+            M[r::3][: v.size] += wf[:, None] * s.absS[c::3][: v.size]
+        return M
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    @pytest.mark.parametrize("given_x", [False, True])
+    def test_band_times_and_place_match_family_loops(self, n, given_x, rng):
+        qs = make_qs(n, rng)
+        B = rng.standard_normal((n, 3))
+        X = np.linalg.solve(qs_materialize(qs), B) if given_x else None
+        s = condnum._Embedded(qs, X, B)
+        assert s.vals.size == 7 * n - 8
+        np.testing.assert_array_equal(s._band(), self.reference_band(s))
+        for absolute in (False, True):
+            np.testing.assert_array_equal(s._times(s.S, absolute), self.reference_times(s, s.S, absolute))
+        w = rng.random(7 * n - 8) * (rng.random(7 * n - 8) < 0.7)
+        got, want = s.place(w), self.reference_place(s, w)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous  # BLAS reads both orders differently
 
 
 class TestFactorOnce:

@@ -146,3 +146,6 @@ class TestRunTable:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError, match="m must be at least 1"):
             ExperimentConfig(m=0)
+        with pytest.raises(ValueError, match=r"n\*m\*rho"):
+            ExperimentConfig(n=10, m=1, rho=0.09)
+        assert ExperimentConfig(n=10, m=1, rho=0.1).rho == 0.1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,35 @@ class TestLinearizedOracle:
     def test_zero_solution_error(self):
         with pytest.raises(ValueError, match="zero solution"):
             linearized_sup_oracle(np.eye(2), np.zeros((2, 1)))
+
+    @staticmethod
+    def per_term_reference(A, X, dA, e, dB, f, n_shared):
+        """The sup and the worst signs from one perturbation matrix per term."""
+        Ainv = np.linalg.inv(A)
+        T = [(-Ainv @ dA[k] @ X + Ainv @ dB[k]) * e[k] for k in range(n_shared)]
+        T += [-Ainv @ dA[k] @ X * e[k] for k in range(n_shared, len(dA))]
+        T += [Ainv @ dB[k] * f[k] for k in range(n_shared, len(dB))]
+        total = sum(np.abs(Tk) for Tk in T)
+        norm = np.max(np.abs(X))
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=len(T))))
+        enumerated = max(np.max(np.abs(sum(sk * Tk for sk, Tk in zip(row, T)))) for row in signs) / norm
+        i, j = np.unravel_index(np.argmax(total), total.shape)
+        worst = np.array([1.0 if Tk[i, j] >= 0.0 else -1.0 for Tk in T])
+        return np.max(total) / norm, enumerated, worst
+
+    @pytest.mark.parametrize("n_shared", [0, 2])
+    def test_stacks_and_lists_match_per_term_reference(self, rng, n_shared):
+        n, m = 3, 2
+        qs, A, B, X, rhs, terms = qs_problem(n, m, rng)
+        dA = [t.matrix for t in terms][:8]
+        dB = [rng.standard_normal((n, m)) for _ in range(n_shared)] + [S for S, _ in rhs.terms][:3]
+        e, f = rng.random(len(dA)), rng.random(len(dB))
+        entrywise, enumerated, worst = self.per_term_reference(A, X, dA, e, dB, f, n_shared)
+        for terms_a, terms_b in ((dA, dB), (np.stack(dA), np.stack(dB))):
+            args = (A, X, terms_a, e, terms_b, f, n_shared)
+            assert linearized_sup_oracle(*args, enumerate_signs=False) == pytest.approx(entrywise, rel=1e-15)
+            assert linearized_sup_oracle(*args, enumerate_signs=True) == pytest.approx(enumerated, rel=1e-15)
+            np.testing.assert_array_equal(worst_sign_pattern(*args), worst)
 
     def test_equals_cond_qs_n3(self, rng):
         qs, A, B, X, rhs, terms = qs_problem(3, 1, rng)
