@@ -15,15 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, io, oracle
-from .condnum import SparseRhs, WeightSpec, cond_report
-from .qsrep import (
-    GvTangentParams,
-    QsParams,
-    gv_materialize,
-    gv_to_qs,
-    qs_materialize,
-)
-from .sensitivity import gv_weighted_derivatives, qs_weighted_derivatives
+from .condnum import SparseRhs, WeightSpec, cond_gv, cond_report
+from .qsrep import GvTangentParams, QsParams, gv_materialize, qs_materialize
+from .sensitivity import derivative_stack
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -81,6 +75,37 @@ def cmd_cond(args) -> int:
     return EXIT_OK
 
 
+def _oracle_stack(A, X, dA, B) -> np.ndarray:
+    """The sup oracle's perturbation stack, from one A⁻¹.
+
+    One row -A⁻¹·dA_k·X per weighted term dA_k of A, then one row
+    A⁻¹·S_k·|ω_k| per unit pattern S_k of B = Σ ω_k S_k, one pattern per
+    nonzero entry.
+    """
+    Ainv = np.linalg.inv(A)
+    i, j = np.nonzero(B)
+    S = np.zeros((i.size, *B.shape))
+    S[np.arange(i.size), i, j] = 1.0
+    return np.concatenate([-Ainv @ dA @ X, Ainv @ S * np.abs(B[i, j])[:, None, None]])
+
+
+def _oracle_sups(qs: QsParams, A, B, X) -> dict[str, float]:
+    """The oracle's sups for k_qs, k_eff and the unstructured numbers.
+
+    One stack holds the weighted generator terms, the entry terms
+    a_ij e_i e_j^T and the RHS rows; each sup reads a subset of its rows,
+    the RHS rows always included.
+    """
+    n = qs.n
+    D, families = derivative_stack(qs, weighted=True)
+    T = _oracle_stack(A, X, np.concatenate([D, np.diag(A.ravel()).reshape(-1, n, n)]), B)
+    K, rhs = len(D), np.arange(len(D) + n * n, len(T))
+    eff = np.flatnonzero((families != "a") & (families != "b"))
+    rows = {"qs": np.r_[:K, rhs], "eff": np.r_[eff, rhs], "unstructured": np.arange(K, len(T))}
+    norm = float(np.max(np.abs(X)))
+    return {name: oracle._sup(T[r], norm) for name, r in rows.items()}
+
+
 def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     """Max relative deviation of each closed form from the sign oracle.
 
@@ -88,15 +113,9 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     a_ij e_i e_j^T of A included, so the oracle weighs each of them by 1.
     """
     rng = np.random.default_rng(seed)
-    devs: dict[str, float] = {}
 
     def rel(closed: float, brute: float) -> float:
         return abs(closed - brute) / max(abs(brute), 1e-300)
-
-    def sup(A, X, dA, rhs) -> float:
-        return oracle.linearized_sup_oracle(
-            A, X, dA, np.ones(len(dA)), [S for S, _ in rhs.terms], [abs(w) for _, w in rhs.terms]
-        )
 
     qs = QsParams(
         p=rng.standard_normal(n - 1),
@@ -110,23 +129,21 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     A = qs_materialize(qs)
     B = rng.standard_normal((n, m))
     X = np.linalg.solve(A, B)
-    terms = qs_weighted_derivatives(qs)
-    rhs = SparseRhs.from_dense(B)
-    report = cond_report(qs, rhs, X=X)
-    devs["qs"] = rel(report.k_qs, sup(A, X, [t.matrix for t in terms], rhs))
-    eff = [t.matrix for t in terms if t.family not in ("a", "b")]
-    devs["eff"] = rel(report.k_eff, sup(A, X, eff, rhs))
-    brute = sup(A, X, np.diag(A.ravel()).reshape(-1, n, n), rhs)
-    devs["unstructured"] = rel(report.k_unstructured, brute)
-    devs["unstructured_sparse"] = rel(report.k_unstructured_sparse, brute)
+    report = cond_report(qs, SparseRhs.from_dense(B), X=X)
+    sups = _oracle_sups(qs, A, B, X)
+    devs = {
+        "qs": rel(report.k_qs, sups["qs"]),
+        "eff": rel(report.k_eff, sups["eff"]),
+        "unstructured": rel(report.k_unstructured, sups["unstructured"]),
+        "unstructured_sparse": rel(report.k_unstructured_sparse, sups["unstructured"]),
+    }
     if n >= 3:
         gv = experiments.gen_random_gv(n, seed + 1)
-        Agv = qs_materialize(gv_to_qs(gv))
+        Agv = gv_materialize(gv)
         Bgv = rng.standard_normal((n, m))
         Xgv = np.linalg.solve(Agv, Bgv)
-        rhs_gv = SparseRhs.from_dense(Bgv)
-        gterms = [t.matrix for t in gv_weighted_derivatives(gv)]
-        devs["gv"] = rel(cond_report(gv, rhs_gv, X=Xgv).k_gv, sup(Agv, Xgv, gterms, rhs_gv))
+        T = _oracle_stack(Agv, Xgv, derivative_stack(gv, weighted=True)[0], Bgv)
+        devs["gv"] = rel(cond_gv(gv, Bgv, Xgv), oracle._sup(T, float(np.max(np.abs(Xgv)))))
     return devs
 
 

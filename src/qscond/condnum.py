@@ -210,6 +210,8 @@ def _check_x(X: np.ndarray) -> float:
     norm = _mx(X)
     if norm == 0.0:
         raise ValueError("zero solution")
+    if not norm < np.inf:  # max|X| is nan or inf exactly when an entry is
+        raise ValueError("the solution X has non-finite entries")
     return norm
 
 
@@ -220,6 +222,8 @@ class _System:
 
     def __init__(self, A, X):
         self.A = np.asarray(A, dtype=float)
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("the coefficient matrix A has non-finite entries")
         self.X = np.asarray(X, dtype=float)
         self.norm = _check_x(self.X)
         self.Ainv = matrix_inverse(self.A)

@@ -23,6 +23,33 @@ class InputError(ValueError):
     """Malformed input file; maps to CLI exit code 2."""
 
 
+# json reads a number as int or float and true/false as bool, so a JSON
+# number is exactly of one of these types
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _all_numbers(values: list) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def _number_array(value, what: str, matrix: bool = False) -> np.ndarray:
+    """A JSON array of numbers as floats: a flat list, or with ``matrix``
+    also a nonempty list of equal-length rows.
+    """
+    if isinstance(value, list) and _all_numbers(value):
+        return np.array(value, dtype=float)
+    if (
+        matrix
+        and isinstance(value, list)
+        and value
+        and all(isinstance(row, list) and _all_numbers(row) for row in value)
+        and len({len(row) for row in value}) == 1
+    ):
+        return np.array(value, dtype=float)
+    shape = "flat list or a list of equal-length rows" if matrix else "flat list"
+    raise InputError(f"{what} must be a {shape} of numbers")
+
+
 def params_from_json(text: str):
     """Parse a QS or GV parameter set, autodetected by its keys."""
     try:
@@ -46,10 +73,7 @@ def params_from_json(text: str):
         raise InputError("field 'n' must be an integer >= 2")
     arrays = {}
     for f in fields:
-        try:
-            arrays[f] = np.asarray(obj[f], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"field {f!r} is not a numeric array") from exc
+        arrays[f] = _number_array(obj[f], f"field {f!r}")
         if not np.all(np.isfinite(arrays[f])):
             raise InputError(f"field {f!r} contains non-finite values")
     try:
@@ -83,9 +107,10 @@ def matrix_from_text(text: str) -> np.ndarray:
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
-            M = np.asarray(json.loads(text), dtype=float)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON matrix: {exc}") from exc
+        M = _number_array(obj, "a JSON matrix", matrix=True)
     else:
         try:
             rows = [
@@ -140,7 +165,7 @@ def rhs_from_text(text: str):
                 i, j, omega = t["i"], t["j"], t["omega"]
             except (KeyError, TypeError) as exc:
                 raise InputError(f"sparse RHS term {k} malformed: {exc}") from exc
-            if type(i) is not int or type(j) is not int or type(omega) not in (int, float):
+            if type(i) is not int or type(j) is not int or type(omega) not in _NUMBER_TYPES:
                 raise InputError(f"sparse RHS term {k} malformed: i and j must be integers, omega a number")
             omega = float(omega)
             if not (1 <= i <= n and 1 <= j <= m):
@@ -169,7 +194,11 @@ def weights_from_text(text: str) -> WeightSpec:
     e = obj.get("e", {})
     if not isinstance(e, dict):
         raise InputError("weight file field 'e' must be an object mapping families to weights")
+    e = {fam: _number_array(v, f"weight family {fam!r}") for fam, v in e.items()}
+    F, f = obj.get("F"), obj.get("f")
+    F = None if F is None else _number_array(F, "weight field 'F'", matrix=True)
+    f = None if f is None else _number_array(f, "weight field 'f'")
     try:
-        return WeightSpec(variant="explicit", e=e, F=obj.get("F"), f=obj.get("f"))
-    except (TypeError, ValueError) as exc:
+        return WeightSpec(variant="explicit", e=e, F=F, f=f)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc

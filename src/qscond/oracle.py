@@ -28,8 +28,12 @@ def _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared) -> np.ndarray:
     N, M = len(dA_terms), len(dB_terms)
     if len(e) != N or len(f) != M:
         raise ValueError("weight vector length does not match derivative count")
-    Ainv = np.linalg.inv(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    for name, value in (("coefficient matrix A", A), ("solution X", X)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"the {name} has non-finite entries")
+    Ainv = np.linalg.inv(A)
     n, m = X.shape
     dA = -Ainv @ np.asarray(dA_terms, dtype=float).reshape(N, n, n) @ X
     dB = Ainv @ np.asarray(dB_terms, dtype=float).reshape(M, n, m)
@@ -61,11 +65,17 @@ def linearized_sup_oracle(
     (raising "enumeration budget exceeded" beyond it), False uses the
     entrywise absolute-sum evaluation alone.
     """
-    X = np.asarray(X, dtype=float)
-    norm = float(np.max(np.abs(X)))
+    norm = float(np.max(np.abs(np.asarray(X, dtype=float))))
+    return _sup(_perturbations(A, X, dA_terms, e, dB_terms, f, n_shared), norm, enumerate_signs)
+
+
+def _sup(T: np.ndarray, norm: float, enumerate_signs: bool | str = "auto") -> float:
+    """max_ij Σ_k |T[k, i, j]| / norm over a (K, n, m) perturbation stack,
+    cross-checked by sign enumeration as ``linearized_sup_oracle`` describes.
+    ``norm`` is max|X|.
+    """
     if norm == 0.0:
         raise ValueError("zero solution")
-    T = _perturbations(A, X, dA_terms, e, dB_terms, f, n_shared)
     K = len(T)
     if enumerate_signs == "auto":
         enumerate_signs = K <= AUTO_ENUMERATION_LIMIT

@@ -14,6 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _as_vectors(params, fields: str) -> None:
+    """Stores each field as a float vector; a scalar is one of length 1."""
+    for f in fields:
+        v = np.atleast_1d(np.asarray(getattr(params, f), dtype=float))
+        if v.ndim != 1:
+            raise ValueError(f"parameter vector {f!r} must be one-dimensional, got shape {v.shape}")
+        setattr(params, f, v)
+
+
 @dataclass
 class QsParams:
     """Generator representation of an n-by-n {1;1}-quasiseparable matrix.
@@ -41,13 +50,7 @@ class QsParams:
     h: np.ndarray
 
     def __post_init__(self):
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
+        _as_vectors(self, "paqdgbh")
         n = self.d.size
         if n < 2:
             raise ValueError("order must be at least 2")
@@ -97,8 +100,7 @@ class GvTangentParams:
     u: np.ndarray
 
     def __post_init__(self):
-        for f in "lvdwu":
-            setattr(self, f, np.atleast_1d(np.asarray(getattr(self, f), dtype=float)))
+        _as_vectors(self, "lvdwu")
         n = self.d.size
         if n < 3:
             raise ValueError("GV representation requires order at least 3")
@@ -230,6 +232,8 @@ def qs_from_dense(A: np.ndarray, tol: float = 1e-10) -> QsParams:
     n = A.shape[0]
     if n < 2:
         raise ValueError("order must be at least 2")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("the matrix has non-finite entries")
     sub = np.diag(A, -1)
     sup = np.diag(A, 1)
     if np.any(sub == 0.0) or np.any(sup == 0.0):
@@ -244,7 +248,7 @@ def qs_from_dense(A: np.ndarray, tol: float = 1e-10) -> QsParams:
     qs = QsParams(p=p, a=a, q=q, d=d, g=g, b=b, h=h)
     scale = np.max(np.abs(A))
     resid = np.max(np.abs(qs_materialize(qs) - A))
-    if resid > tol * max(scale, 1.0):
+    if not resid <= tol * max(scale, 1.0):
         raise ValueError(
             "matrix is not {1;1}-quasiseparable: "
             f"reconstruction residual {resid:.3e} exceeds tolerance"

@@ -52,8 +52,8 @@ class DerivativeTerm:
     matrix: np.ndarray
 
 
-def _qs_core(qs: QsParams, weighted: bool) -> dict[str, np.ndarray]:
-    """Derivative matrices of every QS family, one (count, n, n) stack each.
+def _qs_core(qs: QsParams, weighted: bool) -> np.ndarray:
+    """Derivative matrices of every QS generator, one (7n-8, n, n) stack in term order.
 
     Batch row k substitutes generator k once by ``hi`` and once by 0; the
     difference of the two materializations is term k.  ``hi`` is 1, or the
@@ -61,51 +61,71 @@ def _qs_core(qs: QsParams, weighted: bool) -> dict[str, np.ndarray]:
     """
     omega = qs.flat()
     K = omega.size
-    cuts = np.cumsum([getattr(qs, f).size for f in _QS_FIRST])[:-1]
     hi = omega if weighted else np.ones(K)
     batch = np.tile(omega, (2, K, 1))
     k = np.arange(K)
     batch[0, k, k] = hi
     batch[1, k, k] = 0.0
-    gen = dict(zip(_QS_FIRST, np.split(batch, cuts, axis=-1)))
-    A = _fill_generators(*(gen[f] for f in "dpaqgbh"))
-    return dict(zip(_QS_FIRST, np.split(A[0] - A[1], cuts)))
+    span = _spans(qs, _QS_FIRST)
+    A = _fill_generators(*(batch[..., span[f]] for f in "dpaqgbh"))
+    return A[0] - A[1]
 
 
-def _gv_core(gv: GvTangentParams, weighted: bool) -> dict[str, np.ndarray]:
-    """GV derivative stacks by the chain rule through the embedded QS terms."""
-    D = _qs_core(gv_to_qs(gv), weighted)
+def _gv_core(gv: GvTangentParams, weighted: bool) -> np.ndarray:
+    """GV derivative stack by the chain rule through the embedded QS terms."""
+    qs = gv_to_qs(gv)
+    stack = _qs_core(qs, weighted)
+    D = {f: stack[span] for f, span in _spans(qs, _QS_FIRST).items()}
     c, s, r, t = (x[:, None, None] for x in gv_tangent_to_trig(gv))
     m = gv.n - 2
     if weighted:
         (lp, la), (uh, ub) = (-(s**2), c**2), (-(t**2), r**2)
     else:
         (lp, la), (uh, ub) = (-s * c**2, c**3), (-t * r**2, r**3)
-    return {
-        "l": lp * D["p"][:m] + la * D["a"],
-        "v": D["q"],
-        "d": D["d"],
-        "w": D["g"],
-        "u": uh * D["h"][:m] + ub * D["b"],
-    }
+    return np.concatenate(
+        [lp * D["p"][:m] + la * D["a"], D["q"], D["d"], D["g"], uh * D["h"][:m] + ub * D["b"]]
+    )
 
 
-def _terms(params, first: dict[str, int], mats: dict[str, np.ndarray]) -> list[DerivativeTerm]:
+def _spans(params, first: dict[str, int]) -> dict[str, slice]:
+    """Each family's slice of the term order."""
+    ends = np.cumsum([getattr(params, f).size for f in first]).tolist()
+    return {f: slice(end - getattr(params, f).size, end) for f, end in zip(first, ends)}
+
+
+def derivative_stack(
+    params: QsParams | GvTangentParams, weighted: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every derivative matrix of ``params`` as one (K, n, n) stack, with each row's family.
+
+    Rows follow the term order of ``params.flat()``: p, a, q, d, g, b, h
+    for QS parameters, l, v, d, w, u for GV ones.  ``weighted`` gives the
+    weighted terms ω·∂A/∂ω = A − A(ω:=0) instead of the partials ∂A/∂ω.
+    """
+    gv = isinstance(params, GvTangentParams)
+    first = _GV_FIRST if gv else _QS_FIRST
+    stack = (_gv_core if gv else _qs_core)(params, weighted)
+    return stack, np.repeat(list(first), [getattr(params, f).size for f in first])
+
+
+def _terms(params, weighted: bool) -> list[DerivativeTerm]:
+    first = _GV_FIRST if isinstance(params, GvTangentParams) else _QS_FIRST
+    stack = derivative_stack(params, weighted)[0]
     return [
         DerivativeTerm(f, first[f] + j, value, M)
-        for f in first
-        for j, (value, M) in enumerate(zip(getattr(params, f), mats[f]))
+        for f, span in _spans(params, first).items()
+        for j, (value, M) in enumerate(zip(getattr(params, f), stack[span]))
     ]
 
 
 def qs_derivatives(qs: QsParams) -> list[DerivativeTerm]:
     """All 7n-8 partial derivatives of the generator representation."""
-    return _terms(qs, _QS_FIRST, _qs_core(qs, weighted=False))
+    return _terms(qs, weighted=False)
 
 
 def gv_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
     """All 5n-6 partial derivatives of the tangent GV representation."""
-    return _terms(gv, _GV_FIRST, _gv_core(gv, weighted=False))
+    return _terms(gv, weighted=False)
 
 
 def qs_weighted_derivatives(qs: QsParams) -> list[DerivativeTerm]:
@@ -115,7 +135,7 @@ def qs_weighted_derivatives(qs: QsParams) -> list[DerivativeTerm]:
     or contiguous block of the materialized matrix; the d_i term is
     d_i e_i e_i^T.  The natural weight of every term is therefore 1.
     """
-    return _terms(qs, _QS_FIRST, _qs_core(qs, weighted=True))
+    return _terms(qs, weighted=True)
 
 
 def gv_weighted_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
@@ -125,4 +145,4 @@ def gv_weighted_derivatives(gv: GvTangentParams) -> list[DerivativeTerm]:
     term the -t_i^2 column and the r_i^2 block; d, v, w are the diagonal,
     column and row terms of the QS family.
     """
-    return _terms(gv, _GV_FIRST, _gv_core(gv, weighted=True))
+    return _terms(gv, weighted=True)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestMaterialize:
     def test_directory_path(self, tmp_path, capsys):
         assert main(["materialize", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", [[1, 2, 3]]), ("p", ["1.5", 2]), ("a", [True]), ("q", 1.0),
+    ], ids=["nested", "string", "bool", "scalar"])
+    def test_non_number_arrays_rejected(self, tmp_path, capsys, field, value):
+        params = {"n": 3, "p": [1, 1], "a": [0.5], "q": [1, 1], "d": [1, 2, 3],
+                  "g": [1, 1], "b": [0.5], "h": [1, 1]}
+        path = write(tmp_path, "qs.json", json.dumps({**params, field: value}))
+        rhs = write(tmp_path, "B.csv", "1.0\n1.0\n1.0")
+        for argv in (["materialize", path], ["cond", path, rhs]):
+            assert main(argv) == 2
+            assert f"field {field!r} must be a flat list of numbers" in capsys.readouterr().err
 
     def test_gv_autodetect(self, tmp_path, capsys):
         gv = {"n": 3, "l": [0], "v": [0, 0], "d": [1, 1, 1], "w": [0, 0], "u": [0]}
@@ -141,6 +154,31 @@ class TestCond:
         assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
         assert "field 'e' must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", [
+        [[1, "2"], [3, 4]], [[1, True], [3, 4]], ["1", 2], [[1, 2], [3]], [[1, 2], 3],
+    ], ids=["string", "bool", "flat-string", "ragged", "mixed"])
+    def test_non_number_json_matrix_rejected(self, tmp_path, capsys, matrix):
+        A = write(tmp_path, "A.csv", "2.0,1.0\n1.0,2.0")
+        bad = write(tmp_path, "M.json", json.dumps(matrix))
+        for argv in ([bad, bad], [A, bad]):
+            assert main(["cond", *argv]) == 2
+            err = capsys.readouterr().err
+            assert "a JSON matrix must be a flat list or a list of equal-length rows of numbers" in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ({"e": {"d": [True, 1, 1, 1, 1]}}, "weight family 'd' must be a flat list"),
+        ({"e": {"d": ["1", 1, 1, 1, 1]}}, "weight family 'd' must be a flat list"),
+        ({"e": {"d": [[1, 1, 1, 1, 1]]}}, "weight family 'd' must be a flat list"),
+        ({"f": [[0.5, 0.7]]}, "weight field 'f' must be a flat list"),
+        ({"f": [0.5, "0.7"]}, "weight field 'f' must be a flat list"),
+        ({"F": [[1, 1], [1, True]]}, "weight field 'F' must be a flat list or a list of equal-length rows"),
+    ], ids=["e-bool", "e-string", "e-nested", "f-nested", "f-string", "F-bool"])
+    def test_non_number_weights_rejected(self, identity_qs, tmp_path, capsys, weights, message):
+        rhs = write(tmp_path, "B.csv", "\n".join(["1.0,1.0"] * 5))
+        wfile = write(tmp_path, "w.json", json.dumps(weights))
+        assert main(["cond", identity_qs, rhs, "--weights", wfile]) == 2
+        assert message in capsys.readouterr().err
+
     def test_gv_weights_file(self, tmp_path, capsys):
         """GV-family weights equal to the natural ones give the natural output."""
         rng = np.random.default_rng(3)
@@ -173,11 +211,20 @@ class TestCond:
 
 
 class TestVerify:
-    def test_default_passes(self, capsys):
-        assert main(["verify", "--trials", "4", "--n", "3", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "max relative deviation" in out
-        assert "0 violations" in out
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_default_passes(self, capsys, n):
+        """The whole stdout: one line per oracle, no gv at n = 2, then the summary."""
+        assert main(["verify", "--trials", "20", "--n", str(n), "--m", "2", "--seed", "1"]) == 0
+        *oracle_lines, summary = capsys.readouterr().out.splitlines()
+        seen = set()
+        for line in oracle_lines:
+            match = re.fullmatch(r"oracle (\w+): max relative deviation (\S+) \[(\w+)\]", line)
+            assert match, line
+            seen.add(match.group(1))
+            assert float(match.group(2)) <= 1e-10 and match.group(3) == "ok"
+        assert len(seen) == len(oracle_lines)
+        assert seen == {"qs", "eff", "unstructured", "unstructured_sparse"} | ({"gv"} if n >= 3 else set())
+        assert summary == "inequality chains: 0 violations over 20 instances [ok]"
 
     def test_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

@@ -192,6 +192,15 @@ class TestCondUnstructured:
         with pytest.raises(ValueError, match="singular coefficient matrix"):
             cond_unstructured(A, np.ones((3, 1)), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        A, B = np.eye(2), np.ones((2, 1))
+        X = np.array([[1.0], [bad]])
+        with pytest.raises(ValueError, match="solution X has non-finite entries"):
+            cond_unstructured(A, B, X)
+        with pytest.raises(ValueError, match="coefficient matrix A has non-finite entries"):
+            cond_unstructured(np.array([[1.0, bad], [0.0, 1.0]]), B, B)
+
 
 class TestCondParamGeneral:
     def test_all_zero_derivatives(self, rng):
@@ -427,6 +436,19 @@ class TestCondGv:
             k_gv = cond_gv(gv, B, X)
             k_qs = cond_qs(qs, B, X)
             assert k_gv <= k_qs <= (3 * n - 2) * k_gv
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_cond_gv_is_report_k_gv(self, n):
+        """The GV wrapper and the full report read k_gv from one core, bit for bit."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            gv = make_gv(n, rng)
+            B = rng.standard_normal((n, 2))
+            X = np.linalg.solve(qs_materialize(gv_to_qs(gv)), B)
+            rhs = SparseRhs.from_dense(B)
+            k_gv = cond_report(gv, rhs, X=X).k_gv
+            assert cond_gv(gv, rhs, X) == k_gv
+            assert cond_gv(gv, B, X) == k_gv == cond_report(gv, B, X=X).k_gv
 
     def test_requires_n3(self):
         from qscond import GvTangentParams

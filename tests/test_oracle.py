@@ -7,12 +7,16 @@ from qscond import (
     SparseRhs,
     cond_gv,
     cond_qs,
+    derivative_stack,
     gv_materialize,
     gv_weighted_derivatives,
     qs_materialize,
     qs_weighted_derivatives,
 )
+from qscond.cli import _oracle_stack, _oracle_sups
 from qscond.oracle import (
+    AUTO_ENUMERATION_LIMIT,
+    _sup,
     linearized_sup_oracle,
     sampled_ratio_lower_bound,
     worst_sign_pattern,
@@ -59,6 +63,15 @@ class TestLinearizedOracle:
     def test_zero_solution_error(self):
         with pytest.raises(ValueError, match="zero solution"):
             linearized_sup_oracle(np.eye(2), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = np.array([[1.0], [bad]])
+        with pytest.raises(ValueError, match="solution X has non-finite entries"):
+            linearized_sup_oracle(np.eye(2), X, [np.eye(2)], [1.0])
+        A = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="coefficient matrix A has non-finite entries"):
+            linearized_sup_oracle(A, np.ones((2, 1)), [np.eye(2)], [1.0])
 
     @staticmethod
     def per_term_reference(A, X, dA, e, dB, f, n_shared):
@@ -117,6 +130,47 @@ class TestLinearizedOracle:
             [abs(w) for _, w in rhs.terms],
         )
         assert cond_gv(gv, rhs, X) == pytest.approx(brute, rel=1e-10)
+
+
+class TestVerifyStacks:
+    """``verify`` reads every sup as a row subset of one stack per instance;
+    each must equal the oracle on the same terms, bit for bit."""
+
+    @staticmethod
+    def oracle_sup(A, X, dA, rhs, enumerate_signs):
+        return linearized_sup_oracle(
+            A, X, dA, np.ones(len(dA)), [S for S, _ in rhs.terms], [abs(w) for _, w in rhs.terms],
+            enumerate_signs=enumerate_signs,
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_qs_subsets_match_oracle(self, n):
+        # at n = 2 every subset has at most 10 rows, so verify's "auto" sup
+        # enumerates signs, and the oracle is made to enumerate too
+        enumerate_signs = True if n == 2 else "auto"
+        assert (n != 2) or 7 * n - 8 + 2 * n <= AUTO_ENUMERATION_LIMIT
+        for seed in range(5):
+            qs, A, B, X, rhs, terms = qs_problem(n, 2, np.random.default_rng(seed))
+            want = {
+                "qs": [t.matrix for t in terms],
+                "eff": [t.matrix for t in terms if t.family not in ("a", "b")],
+                "unstructured": np.diag(A.ravel()).reshape(-1, n, n),
+            }
+            want = {name: self.oracle_sup(A, X, dA, rhs, enumerate_signs) for name, dA in want.items()}
+            assert _oracle_sups(qs, A, B, X) == want
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gv_stack_matches_oracle(self, n):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            gv = make_gv(n, rng)
+            A = gv_materialize(gv)
+            B = rng.standard_normal((n, 2))
+            X = np.linalg.solve(A, B)
+            T = _oracle_stack(A, X, derivative_stack(gv, weighted=True)[0], B)
+            terms = [t.matrix for t in gv_weighted_derivatives(gv)]
+            want = self.oracle_sup(A, X, terms, SparseRhs.from_dense(B), "auto")
+            assert _sup(T, float(np.max(np.abs(X)))) == want
 
 
 class TestSampledLowerBound:

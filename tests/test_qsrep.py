@@ -72,6 +72,12 @@ class TestQsMaterialize:
         with pytest.raises(ValueError, match="length"):
             QsParams(p=[1, 2], a=[], q=[1], d=[1, 1], g=[1], b=[], h=[1])
 
+    def test_nested_vectors_rejected(self):
+        with pytest.raises(ValueError, match="'d' must be one-dimensional"):
+            QsParams(p=[1, 1], a=[1], q=[1, 1], d=[[1, 2, 3]], g=[1, 1], b=[1], h=[1, 1])
+        with pytest.raises(ValueError, match="'l' must be one-dimensional"):
+            GvTangentParams(l=[[0.5]], v=[1, 1], d=[1, 1, 1], w=[1, 1], u=[0.5])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bit_identical_to_scalar_walk(self, rng):
         cases = [make_qs(n, rng) for n in (2, 3, 20)] + [gen_illscaled_qs(30, 1000)]
@@ -180,6 +186,20 @@ class TestQsFromDense:
     def test_broken_chain_rejected(self):
         A = np.eye(4)
         with pytest.raises(ValueError, match="generator chain broken"):
+            qs_from_dense(A)
+
+    def test_non_finite_matrix_rejected(self):
+        A = np.diag([1.0, 2, 3]) + np.diag([1.0, 1], 1) + np.diag([1.0, 1], -1)
+        A[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qs_from_dense(A)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_rejected(self):
+        """a_1 = 1e300/1e-300 overflows and a_2 = 0, so entry (4, 1) of the
+        reconstruction is inf·0 = nan; a nan residual must not pass the gate."""
+        A = np.array([[1.0, 1, 1, 1], [1e-300, 1, 1, 1], [1e300, 1, 1, 1], [0, 0, 1, 1]])
+        with pytest.raises(ValueError, match="residual nan exceeds"):
             qs_from_dense(A)
 
 
