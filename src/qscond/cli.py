@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, io, oracle
-from .condnum import SparseRhs, WeightSpec, cond_gv, cond_report
+from .condnum import SparseRhs, WeightSpec, cond_gv, cond_report, unit_patterns
 from .qsrep import GvTangentParams, QsParams, gv_materialize, qs_materialize
 from .sensitivity import derivative_stack
 
@@ -75,37 +75,6 @@ def cmd_cond(args) -> int:
     return EXIT_OK
 
 
-def _oracle_stack(A, X, dA, B) -> np.ndarray:
-    """The sup oracle's perturbation stack, from one A⁻¹.
-
-    One row -A⁻¹·dA_k·X per weighted term dA_k of A, then one row
-    A⁻¹·S_k·|ω_k| per unit pattern S_k of B = Σ ω_k S_k, one pattern per
-    nonzero entry.
-    """
-    Ainv = np.linalg.inv(A)
-    i, j = np.nonzero(B)
-    S = np.zeros((i.size, *B.shape))
-    S[np.arange(i.size), i, j] = 1.0
-    return np.concatenate([-Ainv @ dA @ X, Ainv @ S * np.abs(B[i, j])[:, None, None]])
-
-
-def _oracle_sups(qs: QsParams, A, B, X) -> dict[str, float]:
-    """The oracle's sups for k_qs, k_eff and the unstructured numbers.
-
-    One stack holds the weighted generator terms, the entry terms
-    a_ij e_i e_j^T and the RHS rows; each sup reads a subset of its rows,
-    the RHS rows always included.
-    """
-    n = qs.n
-    D, families = derivative_stack(qs, weighted=True)
-    T = _oracle_stack(A, X, np.concatenate([D, np.diag(A.ravel()).reshape(-1, n, n)]), B)
-    K, rhs = len(D), np.arange(len(D) + n * n, len(T))
-    eff = np.flatnonzero((families != "a") & (families != "b"))
-    rows = {"qs": np.r_[:K, rhs], "eff": np.r_[eff, rhs], "unstructured": np.arange(K, len(T))}
-    norm = float(np.max(np.abs(X)))
-    return {name: oracle._sup(T[r], norm) for name, r in rows.items()}
-
-
 def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     """Max relative deviation of each closed form from the sign oracle.
 
@@ -116,6 +85,11 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
 
     def rel(closed: float, brute: float) -> float:
         return abs(closed - brute) / max(abs(brute), 1e-300)
+
+    def units(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The oracle's RHS terms: one unit pattern per entry, weighted by |B_ij|."""
+        S, omega = unit_patterns(B)
+        return S, np.abs(omega)
 
     qs = QsParams(
         p=rng.standard_normal(n - 1),
@@ -130,7 +104,15 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
     B = rng.standard_normal((n, m))
     X = np.linalg.solve(A, B)
     report = cond_report(qs, SparseRhs.from_dense(B), X=X)
-    sups = _oracle_sups(qs, A, B, X)
+    D, families = derivative_stack(qs, weighted=True)
+    K = len(D)
+    subsets = {
+        "qs": np.arange(K),
+        "eff": np.flatnonzero((families != "a") & (families != "b")),
+        "unstructured": np.arange(K, K + n * n),
+    }
+    dA = np.concatenate([D, np.diag(A.ravel()).reshape(-1, n, n)])
+    sups = oracle.linearized_subset_sups(A, X, dA, *units(B), subsets)
     devs = {
         "qs": rel(report.k_qs, sups["qs"]),
         "eff": rel(report.k_eff, sups["eff"]),
@@ -142,8 +124,9 @@ def _verify_oracle_instance(seed: int, n: int, m: int) -> dict[str, float]:
         Agv = gv_materialize(gv)
         Bgv = rng.standard_normal((n, m))
         Xgv = np.linalg.solve(Agv, Bgv)
-        T = _oracle_stack(Agv, Xgv, derivative_stack(gv, weighted=True)[0], Bgv)
-        devs["gv"] = rel(cond_gv(gv, Bgv, Xgv), oracle._sup(T, float(np.max(np.abs(Xgv)))))
+        G = derivative_stack(gv, weighted=True)[0]
+        brute = oracle.linearized_sup_oracle(Agv, Xgv, G, np.ones(len(G)), *units(Bgv))
+        devs["gv"] = rel(cond_gv(gv, Bgv, Xgv), brute)
     return devs
 
 

@@ -62,10 +62,17 @@ class SparseRhs:
         """Trivial expansion with one unit pattern per nonzero entry."""
         B = np.asarray(B, dtype=float)
         n, m = B.shape
-        i, j = np.nonzero(B)
-        S = np.zeros((i.size, n, m))  # the patterns are views of one stack
-        S[np.arange(i.size), i, j] = 1.0
-        return cls(n=n, m=m, terms=list(zip(S, B[i, j])))
+        S, omega = unit_patterns(B)  # the patterns are views of one stack
+        return cls(n=n, m=m, terms=list(zip(S, omega)))
+
+
+def unit_patterns(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One unit pattern per nonzero entry of the (n, m) matrix B, as one
+    (K, n, m) stack in row-major entry order, and those entries of B."""
+    i, j = np.nonzero(B)
+    S = np.zeros((i.size, *B.shape))
+    S[np.arange(i.size), i, j] = 1.0
+    return S, B[i, j]
 
 
 @dataclass

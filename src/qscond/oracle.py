@@ -69,6 +69,27 @@ def linearized_sup_oracle(
     return _sup(_perturbations(A, X, dA_terms, e, dB_terms, f, n_shared), norm, enumerate_signs)
 
 
+def linearized_subset_sups(
+    A: np.ndarray,
+    X: np.ndarray,
+    dA_terms: Sequence[np.ndarray],
+    dB_terms: Sequence[np.ndarray],
+    f: Sequence[float],
+    subsets: dict[str, np.ndarray],
+) -> dict[str, float]:
+    """``linearized_sup_oracle`` over several subsets of the dA terms, from one stack.
+
+    The dA terms are weighted by 1.  Each subset indexes ``dA_terms`` and
+    is taken with every dB term (none shared); its sup equals
+    ``linearized_sup_oracle`` on the same terms bit for bit, with "auto"
+    sign enumeration decided per subset.
+    """
+    T = _perturbations(A, X, dA_terms, np.ones(len(dA_terms)), dB_terms, f, 0)
+    norm = float(np.max(np.abs(np.asarray(X, dtype=float))))
+    rhs = np.arange(len(dA_terms), len(T))
+    return {name: _sup(T[np.concatenate([rows, rhs])], norm) for name, rows in subsets.items()}
+
+
 def _sup(T: np.ndarray, norm: float, enumerate_signs: bool | str = "auto") -> float:
     """max_ij Σ_k |T[k, i, j]| / norm over a (K, n, m) perturbation stack,
     cross-checked by sign enumeration as ``linearized_sup_oracle`` describes.

@@ -13,10 +13,9 @@ from qscond import (
     qs_materialize,
     qs_weighted_derivatives,
 )
-from qscond.cli import _oracle_stack, _oracle_sups
 from qscond.oracle import (
     AUTO_ENUMERATION_LIMIT,
-    _sup,
+    linearized_subset_sups,
     linearized_sup_oracle,
     sampled_ratio_lower_bound,
     worst_sign_pattern,
@@ -132,8 +131,8 @@ class TestLinearizedOracle:
         assert cond_gv(gv, rhs, X) == pytest.approx(brute, rel=1e-10)
 
 
-class TestVerifyStacks:
-    """``verify`` reads every sup as a row subset of one stack per instance;
+class TestSubsetSups:
+    """``verify`` reads its sups as row subsets of one stack per instance;
     each must equal the oracle on the same terms, bit for bit."""
 
     @staticmethod
@@ -145,32 +144,43 @@ class TestVerifyStacks:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_qs_subsets_match_oracle(self, n):
-        # at n = 2 every subset has at most 10 rows, so verify's "auto" sup
-        # enumerates signs, and the oracle is made to enumerate too
+        # at n = 2 every subset has at most 10 rows, so the "auto" subset
+        # sups enumerate signs, and the oracle is made to enumerate too
         enumerate_signs = True if n == 2 else "auto"
         assert (n != 2) or 7 * n - 8 + 2 * n <= AUTO_ENUMERATION_LIMIT
         for seed in range(5):
             qs, A, B, X, rhs, terms = qs_problem(n, 2, np.random.default_rng(seed))
+            D, families = derivative_stack(qs, weighted=True)
+            K = len(D)
+            subsets = {
+                "qs": np.arange(K),
+                "eff": np.flatnonzero((families != "a") & (families != "b")),
+                "unstructured": np.arange(K, K + n * n),
+            }
+            entries = np.diag(A.ravel()).reshape(-1, n, n)
+            got = linearized_subset_sups(
+                A, X, np.concatenate([D, entries]),
+                [S for S, _ in rhs.terms], [abs(w) for _, w in rhs.terms], subsets,
+            )
             want = {
                 "qs": [t.matrix for t in terms],
                 "eff": [t.matrix for t in terms if t.family not in ("a", "b")],
-                "unstructured": np.diag(A.ravel()).reshape(-1, n, n),
+                "unstructured": entries,
             }
-            want = {name: self.oracle_sup(A, X, dA, rhs, enumerate_signs) for name, dA in want.items()}
-            assert _oracle_sups(qs, A, B, X) == want
+            assert got == {name: self.oracle_sup(A, X, dA, rhs, enumerate_signs) for name, dA in want.items()}
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_gv_stack_matches_oracle(self, n):
+    def test_gv_stack_matches_term_list(self, n):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             gv = make_gv(n, rng)
             A = gv_materialize(gv)
             B = rng.standard_normal((n, 2))
             X = np.linalg.solve(A, B)
-            T = _oracle_stack(A, X, derivative_stack(gv, weighted=True)[0], B)
+            rhs = SparseRhs.from_dense(B)
             terms = [t.matrix for t in gv_weighted_derivatives(gv)]
-            want = self.oracle_sup(A, X, terms, SparseRhs.from_dense(B), "auto")
-            assert _sup(T, float(np.max(np.abs(X)))) == want
+            want = self.oracle_sup(A, X, terms, rhs, "auto")
+            assert self.oracle_sup(A, X, derivative_stack(gv, weighted=True)[0], rhs, "auto") == want
 
 
 class TestSampledLowerBound:
