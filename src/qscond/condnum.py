@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .qsrep import (
     GvTangentParams,
     QsParams,
+    _running_sums,
     gv_tangent_to_trig,
     gv_to_qs,
     qs_from_dense,
@@ -213,13 +214,24 @@ def matrix_inverse(A: np.ndarray) -> np.ndarray:
     return (col[:, None] * scaled_inverse) * row[None, :]
 
 
-def _check_x(X: np.ndarray) -> float:
+def _norm(X: np.ndarray) -> float:
+    """max|X| of a finite X, refused when it is zero."""
     norm = _mx(X)
     if norm == 0.0:
         raise ValueError("zero solution")
-    if not norm < np.inf:  # max|X| is nan or inf exactly when an entry is
-        raise ValueError("the solution X has non-finite entries")
     return norm
+
+
+def _given_x(X, shape) -> np.ndarray:
+    """A given X as a float array, refused unless it has its RHS's ``shape``
+    and finite entries; a 1-D X is one column of a 2-D RHS."""
+    X = np.asarray(X, dtype=float)
+    X = X[:, None] if X.ndim == 1 and len(shape) == 2 else X
+    if X.shape != shape:
+        raise ValueError(f"the solution X has shape {X.shape}, its right-hand side {shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("the solution X has non-finite entries")
+    return X
 
 
 class _System:
@@ -227,12 +239,12 @@ class _System:
     inverse and the given X.  Every number of one call reads from it.
     """
 
-    def __init__(self, A, X):
+    def __init__(self, A, X, shape):
         self.A = np.asarray(A, dtype=float)
         if not np.all(np.isfinite(self.A)):
             raise ValueError("the coefficient matrix A has non-finite entries")
-        self.X = np.asarray(X, dtype=float)
-        self.norm = _check_x(self.X)
+        self.X = _given_x(X, shape)
+        self.norm = _norm(self.X)
         self.Ainv = matrix_inverse(self.A)
         self.absAinv, self.absX = np.abs(self.Ainv), np.abs(self.X)
 
@@ -287,12 +299,13 @@ class _Embedded:
 
     Given X, z and y follow from the sweeps.  Otherwise S is solved with
     one step of refinement and refused when its componentwise backward
-    error max|E S - R| / (|E||S| + |R|) exceeds 1e-8.
+    error max|E S - R| / (|E||S| + |R|) exceeds 1e-8, which a non-finite S
+    always does.  B and X are (n, m) float arrays.
     """
 
-    def __init__(self, qs: QsParams, X=None, B=None):
+    def __init__(self, qs: QsParams, X, B):
         n, self.qs = qs.n, qs
-        self.R, self.C, signs, self.flat, self.spans = _index_map(n, np.shape(B if X is None else X)[1])
+        self.R, self.C, signs, self.flat, self.spans = _index_map(n, B.shape[1])
         self.vals = np.concatenate([getattr(qs, f) for f in _PLACE]) * signs
         lu, piv, info = dgbtrf(self._band(), _BAND, _BAND)
         if info > 0:
@@ -302,9 +315,9 @@ class _Embedded:
         self.G = dgbtrs(lu, _BAND, _BAND, unit, piv, trans=1)[0].T
         if not np.all(np.isfinite(self.G)):
             raise ArithmeticError("the inverse of the generator system overflows")
+        R = np.zeros((3 * n, B.shape[1]))
+        R[1::3] = B if X is None else X  # the RHS [B; 0; 0], or the x rows of S
         if X is None:  # one refinement step, then the backward-error gate
-            R = np.zeros((3 * n, np.shape(B)[1]))
-            R[1::3] = B
             S = dgbtrs(lu, _BAND, _BAND, R, piv)[0]
             S += dgbtrs(lu, _BAND, _BAND, R - self._times(S), piv)[0]
             scale = self._times(np.abs(S), absolute=True) + np.abs(R)
@@ -313,21 +326,13 @@ class _Embedded:
             if not berr <= 1e-8:
                 raise ArithmeticError(f"backward error {berr:.3e} of the generator solve exceeds 1e-8")
         else:  # z and y from X by the sweeps of qs_matvec
-            X = np.asarray(X, dtype=float)
-            S = np.zeros((3 * n, X.shape[1]))
-            S[1::3] = X
-            z, y = S[0::3], S[2::3]
-            a, b = [0.0, *qs.a.tolist()], [*qs.b.tolist(), 0.0]
-            qX, hX = qs.q[:, None] * X[:-1], qs.h[:, None] * X[1:]
-            for r in range(1, n):
-                z[r] = a[r - 1] * z[r - 1] + qX[r - 1]
-            for r in range(n - 2, -1, -1):
-                y[r] = b[r] * y[r + 1] + hX[r]
+            S = R
+            S[0::3], S[2::3] = _running_sums(qs, X)
             if not np.all(np.isfinite(S)):
                 raise ArithmeticError("the generator sweeps overflow for the given X")
         self.S, self.absS = S, np.abs(S)
         self.X, self.absX = S[1::3], self.absS[1::3]
-        self.norm = _check_x(self.X)
+        self.norm = _norm(self.X)
         self.absG = np.abs(self.G)
         self.Ainv, self.absAinv = self.G[:, 1::3], np.ascontiguousarray(self.absG[:, 1::3])
 
@@ -379,31 +384,24 @@ def _family_weights(weights: WeightSpec, params: np.ndarray, family: str) -> np.
     return e
 
 
-def _rhs_weights(rhs, weights: WeightSpec):
-    """The RHS weights: f (one per sparse term) or F (dense, entrywise)."""
-    if isinstance(rhs, SparseRhs):
-        if weights.natural:
-            return np.array([abs(omega) for _, omega in rhs.terms])
-        if weights.f is None:
-            raise ValueError("explicit weights missing for sparse RHS")
-        if np.size(weights.f) != rhs.num_terms:
-            raise ValueError("RHS weight vector length mismatch")
-        return weights.f
-    B = np.asarray(rhs, dtype=float)
-    F = np.abs(B) if weights.natural else weights.F
-    if F is None or F.shape != B.shape:
-        raise ValueError("dense RHS weight matrix missing or mismatched")
-    return F
-
-
-def _rhs_term(s, rhs, f) -> np.ndarray:
+def _rhs_term(s, rhs, weights: WeightSpec) -> np.ndarray:
     """The RHS contribution: Σ_k |A⁻¹ S_k| f_k, or |A⁻¹| F for dense B.
 
-    When every pattern has exactly one nonzero the sparse sum is |A⁻¹| F
-    with F = Σ_k f_k S_k, one product instead of one per term.
+    The weights f (one per sparse term) or F (entrywise) are |ω_k| or |B|
+    when natural.  When every pattern has exactly one nonzero the sparse
+    sum is |A⁻¹| F with F = Σ_k f_k S_k, one product instead of one per term.
     """
     if not isinstance(rhs, SparseRhs):
-        return s.absAinv @ np.asarray(f, dtype=float)
+        B = np.asarray(rhs, dtype=float)
+        F = np.abs(B) if weights.natural else weights.F
+        if F is None or F.shape != B.shape:
+            raise ValueError("dense RHS weight matrix missing or mismatched")
+        return s.absAinv @ F
+    f = np.array([abs(omega) for _, omega in rhs.terms]) if weights.natural else weights.f
+    if f is None:
+        raise ValueError("explicit weights missing for sparse RHS")
+    if np.size(f) != rhs.num_terms:
+        raise ValueError("RHS weight vector length mismatch")
     if all(np.count_nonzero(S) == 1 for S, _ in rhs.terms):
         F = np.zeros(rhs.n * rhs.m)
         np.add.at(F, np.array([S.argmax() for S, _ in rhs.terms], dtype=np.intp), f)
@@ -459,9 +457,8 @@ def cond_unstructured(A, B, X, E=None, F=None) -> float:
     Returns ``max(|A⁻¹| E |X| + |A⁻¹| F) / max|X|``; ``E`` defaults to
     |A| and ``F`` to |B| (the natural entrywise weights).
     """
-    s = _System(A, X)
-    F = np.abs(np.asarray(B, dtype=float)) if F is None else F
-    return s.k(_entry_term(s, E) + _rhs_term(s, B, F))
+    s = _System(A, X, np.shape(B))
+    return s.k(_entry_term(s, E) + _rhs_term(s, B, WeightSpec() if F is None else WeightSpec("explicit", F=F)))
 
 
 def _param_terms(s: _System, dA_terms: Sequence[np.ndarray], e: Sequence[float]) -> np.ndarray:
@@ -487,11 +484,11 @@ def cond_param_general(
     A-side parameters, ``f`` has length M and weights the B-only tail
     (its first ``n_shared`` entries are ignored).
     """
-    s = _System(A, X)
+    s = _System(A, X, np.shape(dB_terms[0]) if len(dB_terms) else np.shape(A)[:1] + np.shape(X)[1:])
     Ainv, X = s.Ainv, s.X
-    if len(e) != len(dA_terms) or len(f) != len(dB_terms):
+    if len(f) != len(dB_terms):
         raise ValueError("weight vector length does not match derivative provider count")
-    if n_shared > min(len(dA_terms), len(dB_terms)):
+    if n_shared > min(len(dA_terms), len(dB_terms), len(e)):
         raise ValueError("shared prefix exceeds derivative provider count")
     total = _param_terms(s, dA_terms[n_shared:], e[n_shared:])
     for k in range(n_shared):
@@ -503,7 +500,7 @@ def cond_param_general(
 
 def cond_param_denseB(A, X, dA_terms: Sequence[np.ndarray], e: Sequence[float], F) -> float:
     """Parameterized A with a dense, independently perturbed B."""
-    s = _System(A, X)
+    s = _System(A, X, np.shape(F))
     return s.k(s.absAinv @ np.asarray(F, dtype=float) + _param_terms(s, dA_terms, e))
 
 
@@ -517,11 +514,27 @@ def cond_unstructuredA_sparseB(A, X, rhs: SparseRhs, E=None, f=None) -> float:
 
     Natural weights (the defaults) use E = |A| and f_k = |ω_k|.
     """
-    s = _System(A, X)
-    f = _rhs_weights(rhs, WeightSpec()) if f is None else f
-    if len(f) != rhs.num_terms:
-        raise ValueError("RHS weight vector length mismatch")
-    return s.k(_entry_term(s, E) + _rhs_term(s, rhs, f))
+    s = _System(A, X, (rhs.n, rhs.m))
+    return s.k(_entry_term(s, E) + _rhs_term(s, rhs, WeightSpec() if f is None else WeightSpec("explicit", f=f)))
+
+
+def _prepare(source, rhs, X):
+    """The inputs of every structured number, read as :func:`cond_report` states:
+    the GV source or None, the RHS with B 2-D, B, and the generator system."""
+    gv = source if isinstance(source, GvTangentParams) else None
+    if gv is not None:
+        qs = gv_to_qs(gv)
+    elif isinstance(source, QsParams):
+        qs = source
+    else:
+        qs = qs_from_dense(source)
+    sparse = isinstance(rhs, SparseRhs)
+    B = rhs.materialize() if sparse else np.asarray(rhs, dtype=float)
+    B = B[:, None] if B.ndim == 1 else B
+    if B.shape[0] != qs.n:
+        raise ValueError(f"the right-hand side has {B.shape[0]} rows, the matrix has order {qs.n}")
+    X = None if X is None else _given_x(X, B.shape)
+    return gv, rhs if sparse else B, B, _Embedded(qs, X, B)
 
 
 def cond_qs(params: QsParams, rhs, X, weights: WeightSpec | None = None) -> float:
@@ -532,15 +545,15 @@ def cond_qs(params: QsParams, rhs, X, weights: WeightSpec | None = None) -> floa
     The weight w is |ω| with natural weights, otherwise the explicit one.
     """
     weights = weights or WeightSpec()
-    s = _Embedded(params, X)
-    return _k_qs(s, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
+    _, rhs, _, s = _prepare(params, rhs, X)
+    return _k_qs(s, _rhs_term(s, rhs, weights), weights)
 
 
 def cond_gv(params: GvTangentParams, rhs, X, weights: WeightSpec | None = None) -> float:
     """Structured condition number over the tangent GV representation."""
     weights = weights or WeightSpec()
-    s = _Embedded(gv_to_qs(params), X)
-    return _k_gv(s, params, _rhs_term(s, rhs, _rhs_weights(rhs, weights)), weights)
+    gv, rhs, _, s = _prepare(params, rhs, X)
+    return _k_gv(s, gv, _rhs_term(s, rhs, weights), weights)
 
 
 def cond_eff(params: QsParams, rhs, X) -> float:
@@ -550,63 +563,45 @@ def cond_eff(params: QsParams, rhs, X) -> float:
     coefficients a and b, and the RHS pattern; a dense RHS counts as one
     pattern per entry, whose contribution is |A⁻¹||B|.
     """
-    s = _Embedded(params, X)
-    return _k_qs(s, _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec())), WeightSpec(), _EFF)
+    _, rhs, _, s = _prepare(params, rhs, X)
+    return _k_qs(s, _rhs_term(s, rhs, WeightSpec()), WeightSpec(), _EFF)
 
 
 def cond_report(source, rhs, X=None, seed=None, rho=None, weights: WeightSpec | None = None) -> CondReport:
     """Compute every applicable condition number from one prepared system.
 
     ``source`` may be QS parameters, GV parameters, or a dense matrix
-    recognizable as {1;1}-quasiseparable.  One banded generator system is
-    factored for every number; if X is omitted it is solved from it.  The
-    materialized A enters only the unstructured values, and a non-finite A
-    is refused as an overflow.  ``weights`` (natural by default) applies
-    to ``k_qs``, ``k_gv`` and the RHS of the unstructured values, where a
-    given ``F`` must have the shape of B; ``k_eff`` is parameter-free.
-    For a GV source the parameter weights name the GV families, so
-    ``k_qs`` of the embedded generators keeps natural generator weights;
-    its RHS weights are still the explicit ones.
+    recognizable as {1;1}-quasiseparable.  ``cond_qs``, ``cond_gv`` and
+    ``cond_eff`` read their input as this does: a 1-D B or X is one
+    column, B must have n rows and a given X B's shape and finite entries,
+    or a ``ValueError`` is raised before any sweep.  One banded generator
+    system is factored for every number; if X is omitted it is solved from
+    it.  The materialized A enters only the unstructured values, and a
+    non-finite A is refused as an overflow.  ``weights`` (natural by
+    default) applies to ``k_qs``, ``k_gv`` and the RHS of the unstructured
+    values, where a given ``F`` must have the shape of B; ``k_eff`` is
+    parameter-free.  For a GV source the parameter weights name the GV
+    families, so ``k_qs`` of the embedded generators keeps natural
+    generator weights; its RHS weights are still the explicit ones.
     """
     weights = weights or WeightSpec()
-    gv = source if isinstance(source, GvTangentParams) else None
-    if gv is not None:
-        qs = gv_to_qs(gv)
-    elif isinstance(source, QsParams):
-        qs = source
-    else:
-        qs = qs_from_dense(np.asarray(source, dtype=float))
-    sparse = isinstance(rhs, SparseRhs)
-    B = rhs.materialize() if sparse else np.asarray(rhs, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.shape[0] != qs.n:
-        raise ValueError(f"the right-hand side has {B.shape[0]} rows, the matrix has order {qs.n}")
-    rhs = rhs if sparse else B
-    if X is not None and np.ndim(X) == 1:
-        X = np.asarray(X, dtype=float)[:, None]
-
+    gv, rhs, B, s = _prepare(source, rhs, X)
     with np.errstate(over="ignore"):
-        A = qs_materialize(qs)
+        A = qs_materialize(s.qs)
     if not np.all(np.isfinite(A)):
         raise ArithmeticError("the coefficient matrix overflows: its materialized entries are not finite")
-    s = _Embedded(qs, X, B)
-    rhs_term = _rhs_term(s, rhs, _rhs_weights(rhs, weights))
-    k_qs = _k_qs(s, rhs_term, WeightSpec() if gv is not None else weights)
-    k_gv = _k_gv(s, gv, rhs_term, weights) if gv is not None else None
-    eff_rhs_term = rhs_term if weights.natural else _rhs_term(s, rhs, _rhs_weights(rhs, WeightSpec()))
-    k_eff = _k_qs(s, eff_rhs_term, WeightSpec(), _EFF)
+    sparse = isinstance(rhs, SparseRhs)
+    rhs_term = _rhs_term(s, rhs, weights)
     entry = _entry_term(s, np.abs(A))
-    F = np.abs(B) if weights.F is None else _rhs_weights(B, weights)
     return CondReport(
-        n=qs.n,
+        n=s.qs.n,
         m=B.shape[1],
         rhs_mode="sparse" if sparse else "dense",
-        k_unstructured=s.k(entry + _rhs_term(s, B, F)),
+        k_qs=_k_qs(s, rhs_term, WeightSpec() if gv is not None else weights),
+        k_gv=_k_gv(s, gv, rhs_term, weights) if gv is not None else None,
+        k_eff=_k_qs(s, rhs_term if weights.natural else _rhs_term(s, rhs, WeightSpec()), WeightSpec(), _EFF),
+        k_unstructured=s.k(entry + _rhs_term(s, B, WeightSpec() if weights.F is None else weights)),
         k_unstructured_sparse=s.k(entry + rhs_term) if sparse else None,
-        k_qs=k_qs,
-        k_eff=k_eff,
-        k_gv=k_gv,
         seed=seed,
         rho=rho,
     )

@@ -190,30 +190,34 @@ def gv_materialize(gv: GvTangentParams) -> np.ndarray:
     return qs_materialize(gv_to_qs(gv))
 
 
-def qs_matvec(qs: QsParams, x: np.ndarray) -> np.ndarray:
-    """Multiply the represented matrix by a vector in O(n) time.
-
-    Uses one ascending sweep for the lower triangle,
-    sigma_j = a_j sigma_{j-1} + q_j x_j, and one descending sweep for the
-    upper triangle, tau_j = b_j tau_{j+1} + h_j x_j.
+def _running_sums(qs: QsParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums z, y over the rows of X (n rows or entries), zero-based:
+    z[r] = a[r-2] z[r-1] + q[r-1] X[r-1] up from z[1] = q[0] X[0], y[r] =
+    b[r] y[r+1] + h[r] X[r+1] down from y[n-2] = h[n-2] X[n-1], z[0] =
+    y[n-1] = 0.  Row r of A X is d[r] X[r] + p[r-1] z[r] + g[r] y[r].
     """
+    a, b = qs.a.tolist(), qs.b.tolist()
+    qX, hX = (qs.q * X[:-1].T).T, (qs.h * X[1:].T).T  # row r times q[r], h[r]
+    zero = np.zeros_like(X[0])
+    z, y = [zero, qX[0]], [zero, hX[-1]]  # y from its last row up
+    for ar, qr in zip(a, qX[1:]):
+        z.append(ar * z[-1] + qr)
+    for br, hr in zip(b[::-1], hX[-2::-1]):
+        y.append(br * y[-1] + hr)
+    return np.array(z), np.array(y[::-1])
+
+
+def qs_matvec(qs: QsParams, x: np.ndarray) -> np.ndarray:
+    """Multiply the represented matrix by a vector in O(n) time, by the
+    ascending and descending sweeps of :func:`_running_sums`."""
     x = np.asarray(x, dtype=float)
-    n = qs.n
-    if x.shape[0] != n:
-        raise ValueError(f"vector length {x.shape[0]} does not match order {n}")
-    p, a, q, d, g, b, h = qs.p, qs.a, qs.q, qs.d, qs.g, qs.b, qs.h
-    y = d * x
-    sigma = q[0] * x[0]
-    for i in range(1, n):
-        y[i] += p[i - 1] * sigma
-        if i < n - 1:
-            sigma = a[i - 1] * sigma + q[i] * x[i]
-    tau = h[n - 2] * x[n - 1]
-    for i in range(n - 2, -1, -1):
-        y[i] += g[i] * tau
-        if i > 0:
-            tau = b[i - 1] * tau + h[i - 1] * x[i]
-    return y
+    if x.shape[0] != qs.n:
+        raise ValueError(f"vector length {x.shape[0]} does not match order {qs.n}")
+    z, y = _running_sums(qs, x)
+    out = qs.d * x
+    out[1:] += qs.p * z[1:]
+    out[:-1] += qs.g * y[:-1]
+    return out
 
 
 def qs_from_dense(A: np.ndarray, tol: float = 1e-10) -> QsParams:

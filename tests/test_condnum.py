@@ -27,7 +27,7 @@ from qscond import (
 )
 from qscond.cli import main
 from qscond.condnum import matrix_inverse
-from qscond.experiments import gen_illscaled_qs, gen_sparse_rhs
+from qscond.experiments import gen_illscaled_qs, gen_random_gv, gen_sparse_rhs
 from qscond.io import params_to_json_dict, rhs_from_text
 from qscond.qsrep import gv_tangent_to_trig
 
@@ -439,16 +439,31 @@ class TestCondGv:
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_cond_gv_is_report_k_gv(self, n):
-        """The GV wrapper and the full report read k_gv from one core, bit for bit."""
+        """cond_gv, cond_qs, cond_eff and the full report read k_gv, k_qs and
+        k_eff from one preparation, bit for bit: dense and sparse RHS,
+        natural and explicit weights, and a 1-D b and x as one column."""
         for seed in range(5):
             rng = np.random.default_rng(seed)
             gv = make_gv(n, rng)
+            qs = gv_to_qs(gv)
             B = rng.standard_normal((n, 2))
-            X = np.linalg.solve(qs_materialize(gv_to_qs(gv)), B)
+            X = np.linalg.solve(qs_materialize(qs), B)
             rhs = SparseRhs.from_dense(B)
             k_gv = cond_report(gv, rhs, X=X).k_gv
             assert cond_gv(gv, rhs, X) == k_gv
             assert cond_gv(gv, B, X) == k_gv == cond_report(gv, B, X=X).k_gv
+            for b, x in ((B, X), (B[:, 0], X[:, 0])):
+                cols = b.reshape(n, -1)
+                assert cond_gv(gv, b, x) == cond_gv(gv, cols, x.reshape(n, -1))
+                F, f = rng.random(cols.shape), rng.random(np.count_nonzero(cols))
+                explicit_qs = WeightSpec("explicit", e={k: rng.random(getattr(qs, k).size) for k in "paqdgbh"}, F=F, f=f)
+                explicit_gv = WeightSpec("explicit", e={k: rng.random(getattr(gv, k).size) for k in "lvdwu"}, F=F, f=f)
+                for r in (b, SparseRhs.from_dense(cols)):
+                    for w_qs, w_gv in ((None, None), (explicit_qs, explicit_gv)):
+                        rep_qs, rep_gv = cond_report(qs, r, X=x, weights=w_qs), cond_report(gv, r, X=x, weights=w_gv)
+                        assert cond_qs(qs, r, x, w_qs) == rep_qs.k_qs
+                        assert cond_gv(gv, r, x, w_gv) == rep_gv.k_gv
+                        assert cond_eff(qs, r, x) == rep_qs.k_eff == rep_gv.k_eff
 
     def test_requires_n3(self):
         from qscond import GvTangentParams
@@ -491,6 +506,58 @@ class TestCondEff:
             rhs = SparseRhs.from_dense(B)
             X = np.linalg.solve(A, B)
             assert cond_qs(qs, rhs, X) <= n * cond_unstructuredA_sparseB(A, X, rhs)
+
+
+def every_cond_call():
+    """The n = 5 system of ``gen_random_gv(5, 1)`` with a 5 x 2 B, its X and
+    every public cond_* function of it as a function of X."""
+    gv = gen_random_gv(5, 1)
+    qs = gv_to_qs(gv)
+    A = qs_materialize(qs)
+    B = np.random.default_rng(1).standard_normal((5, 2))
+    rhs = SparseRhs.from_dense(B)
+    dA = [t.matrix for t in qs_weighted_derivatives(qs)]
+    e, patterns, f = np.ones(len(dA)), [S for S, _ in rhs.terms], [abs(w) for _, w in rhs.terms]
+    return np.linalg.solve(A, B), {
+        "cond_report": lambda X: cond_report(gv, B, X=X),
+        "cond_qs": lambda X: cond_qs(qs, B, X),
+        "cond_gv": lambda X: cond_gv(gv, B, X),
+        "cond_eff": lambda X: cond_eff(qs, rhs, X),
+        "cond_unstructured": lambda X: cond_unstructured(A, B, X),
+        "cond_param_general": lambda X: cond_param_general(A, X, dA, patterns, e, f),
+        "cond_param_denseB": lambda X: cond_param_denseB(A, X, dA, e, np.abs(B)),
+        "cond_param_sparseB": lambda X: cond_param_sparseB(A, X, dA, e, rhs, f),
+        "cond_unstructuredA_sparseB": lambda X: cond_unstructuredA_sparseB(A, X, rhs),
+    }
+
+
+class TestInputContract:
+    """Every entry point refuses a malformed X with a message naming it, before any work on it."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a malformed X reached the generator system or the dense inverse")
+
+        for name in ("_running_sums", "dgbtrf", "matrix_inverse"):
+            monkeypatch.setattr(condnum, name, refuse)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", list(every_cond_call()[1]))
+    def test_non_finite_x_is_refused_before_the_sweeps(self, name, bad):
+        X, calls = every_cond_call()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="the solution X has non-finite entries"):
+            calls[name](X)
+
+    @pytest.mark.parametrize("name", list(every_cond_call()[1]))
+    def test_x_of_the_wrong_shape_is_refused(self, name):
+        """X with B's first column only, 2-D or 1-D, or transposed, is no
+        solution of A X = B, and no number may be read from it."""
+        X, calls = every_cond_call()
+        for wrong in (X[:, :1], X[:, 0], X.T):
+            with pytest.raises(ValueError, match=r"the solution X has shape \(.*\), its right-hand side \(5, 2\)"):
+                calls[name](wrong)
 
 
 class TestCondReport:
